@@ -55,8 +55,8 @@ void BM_CodeGeneration(benchmark::State& state) {
 }
 
 void BM_ParallelCodegen(benchmark::State& state) {
-  // Wavefront-parallel code generation over a 32-leaf fan-out program:
-  // every leaf is independent, so the leaf level scales with jobs.
+  // Parallel code generation over a 32-leaf fan-out program: every leaf
+  // is independent, so the leaves scale with jobs.
   const int jobs = static_cast<int>(state.range(0));
   std::string src = fortd::bench::fan_out(32, 512);
   fortd::BoundProgram bp = fortd::parse_and_bind(src);
@@ -73,9 +73,8 @@ void BM_ParallelCodegen(benchmark::State& state) {
 }
 
 void BM_ParallelIpa(benchmark::State& state) {
-  // Wavefront-parallel interprocedural analysis: summaries are
-  // embarrassingly parallel, side effects / reaching run level-by-level
-  // over the ACG. shape 0 = 32-leaf fan-out (one wide level), shape 1 =
+  // Parallel interprocedural analysis: summaries are embarrassingly
+  // parallel, side effects / reaching run over the ACG dependency graph. shape 0 = 32-leaf fan-out (one wide level), shape 1 =
   // dgefa (serial idamax chain feeding a wide daxpy level).
   const int jobs = static_cast<int>(state.range(0));
   const bool shaped = state.range(1) != 0;
@@ -91,38 +90,6 @@ void BM_ParallelIpa(benchmark::State& state) {
     { auto sink = ctx.summaries.size(); benchmark::DoNotOptimize(sink); }
   }
   state.counters["jobs"] = jobs;
-}
-
-void BM_WorkStealingVsWavefront(benchmark::State& state) {
-  // The barrier cost itself: an 8-deep call chain next to 24 independent
-  // leaves at jobs=4. The wavefront generates the wide leaf level, then
-  // walks the chain one barrier-separated level at a time with three
-  // workers idle; work-stealing overlaps the chain with the leaf pool,
-  // so its span is max(chain, leaves/4) instead of the sum. The win
-  // needs free cores — on a core-starved machine the two schedules tie
-  // and the stolen/idle counters are what to read.
-  const bool wavefront = state.range(0) != 0;
-  std::string src = fortd::bench::chain_fanout(8, 24, 256);
-  fortd::BoundProgram bp = fortd::parse_and_bind(src);
-  fortd::IpaContext ctx = fortd::run_ipa(bp);
-  fortd::CodegenOptions opt;
-  opt.n_procs = 8;
-  opt.jobs = 4;
-  opt.scheduler = wavefront ? fortd::Scheduler::Wavefront
-                            : fortd::Scheduler::WorkStealing;
-  fortd::ThreadPool pool(opt.jobs - 1);
-  fortd::TaskGraphStats sched;
-  for (auto _ : state) {
-    fortd::CodeGenerator gen(bp, ctx, opt, nullptr, nullptr, &pool);
-    fortd::SpmdProgram spmd = gen.generate();
-    sched = gen.scheduler_stats();
-    { auto sink = spmd.ast.procedures.size(); benchmark::DoNotOptimize(sink); }
-  }
-  state.counters["procs"] = 33;
-  state.counters["stolen"] = static_cast<double>(sched.stolen);
-  state.counters["ready_peak"] = static_cast<double>(sched.ready_peak);
-  state.counters["critical_path"] = static_cast<double>(sched.critical_path);
-  state.counters["idle_ms"] = sched.idle_ms;
 }
 
 void BM_IncrementalClone(benchmark::State& state) {
@@ -214,8 +181,6 @@ BENCHMARK(BM_ParallelCodegen)->ArgName("jobs")->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ParallelIpa)->ArgNames({"jobs", "shape"})
     ->Args({1, 0})->Args({2, 0})->Args({4, 0})->Args({1, 1})->Args({4, 1})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_WorkStealingVsWavefront)->ArgName("wavefront")->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_IncrementalClone)->ArgName("incremental")->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);

@@ -51,7 +51,6 @@ TIME_UNITS_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 # the benches whose timed region is dominated by thread scheduling or
 # loopback sockets rather than compiler code.
 PER_BENCH_THRESHOLD = {
-    "BM_WorkStealingVsWavefront": 0.60,  # 33-proc graph, µs-scale tasks
     "BM_ParallelCodegen": 0.50,          # thread handoff dominated
     "BM_ParallelIpa": 0.50,
     "BM_CodeGeneration": 0.50,           # ms-scale; ±30% run-to-run jitter
@@ -59,10 +58,6 @@ PER_BENCH_THRESHOLD = {
     "BM_CachedRecompile": 0.50,
     "BM_ParseAndBind": 0.50,             # µs-scale; timer-granularity bound
     "BM_VectorizationAblation": 0.60,    # Iterations(1): single-shot timing
-    "BM_RemoteHit": 0.60,                # loopback socket latency
-    "BM_RemoteMissPenalty": 0.60,
-    "BM_WavefrontPrefetch": 0.60,
-    "BM_ShardedFleet": 0.60,
     "BM_WarmDaemonCompile": 0.60,        # loopback COMPILE round trip
     "BM_ColdProcessRecompile": 0.50,
     "BM_LocalWarmCompile": 0.50,

@@ -242,13 +242,11 @@ inline std::string fan_out(int width, int64_t n, int edited_leaf = 0) {
 }
 
 /// A serial call chain of `depth` procedures next to `width` independent
-/// leaves, all called from the program — the shape that separates the
-/// barrier-free scheduler from the depth-leveled wavefront. The ACG has
-/// depth+1 levels; every leaf sits at the chain's deepest level, so the
-/// wavefront generates the wide leaf level first, then pays a one-
-/// procedure barrier per chain link with every other worker idle. The
-/// work-stealing schedule overlaps the chain with the leaves: its span
-/// is max(chain, leaves/jobs) instead of their sum.
+/// leaves, all called from the program. The ACG has depth+1 levels; a
+/// schedule with a barrier per level would generate the wide leaf level
+/// first, then pay a one-procedure barrier per chain link with every
+/// other worker idle. The work-stealing schedule overlaps the chain with
+/// the leaves: its span is max(chain, leaves/jobs) instead of their sum.
 inline std::string chain_fanout(int depth, int width, int64_t n) {
   std::string N = std::to_string(n);
   std::string src = R"(

@@ -14,19 +14,6 @@
 //                   dirty
 //     -cache-max-bytes N  LRU size bound of the cache dir (default 256 MiB)
 //     -cache-clear  empty the cache directory before compiling
-//     -cache-remote HOST:PORT[,HOST:PORT...]  consult a fortd-cached
-//                   fleet after local misses and write new artifacts
-//                   through to it. Keys spread over the endpoints by
-//                   consistent (rendezvous) hashing, so every fortdc
-//                   with the same list agrees on which daemon owns a
-//                   key. Each shard has its own circuit breaker: a dead
-//                   daemon degrades only its key range, and any network
-//                   problem degrades to local-only compilation with a
-//                   single diagnostic, never a compile failure
-//     -cache-remote-timeout-ms N  per-request deadline (default 250)
-//     -cache-no-prefetch  disable the wavefront prefetcher (one
-//                   BATCH_GET per shard for the next level's artifacts,
-//                   overlapped with this level's code generation)
 //     -cache-stats-json  print cumulative per-tier cache counters as JSON
 //                   to stdout after compiling
 //     -run          execute after compiling: run the generated SPMD
@@ -42,13 +29,8 @@
 //                   communication verifier; print findings to stderr
 //     -Werror       with -analyze: exit 3 when any finding is reported
 //     -lint-json    with -analyze: print lint findings as JSON to stdout
-//     -sched S      steal | wavefront: schedule of the parallel codegen
-//                   and IPA passes (default steal — barrier-free
-//                   work-stealing over the call graph; wavefront keeps
-//                   the depth-leveled baseline). Output is
-//                   byte-identical either way
-//     -timings      report per-phase wall-clock timings and, under the
-//                   work-stealing schedule, scheduler counters (tasks
+//     -timings      report per-phase wall-clock timings and the
+//                   work-stealing scheduler's counters (tasks
 //                   executed/stolen, ready-queue peak, critical path,
 //                   per-pass idle time)
 //     -quiet        suppress the generated-code listing
@@ -116,28 +98,11 @@ int main(int argc, char** argv) {
                            : lvl == 1 ? DynDecompOpt::Live
                            : lvl == 2 ? DynDecompOpt::LiveInvariant
                                       : DynDecompOpt::Full;
-    } else if (!std::strcmp(argv[i], "-sched") && i + 1 < argc) {
-      const char* s = argv[++i];
-      if (!std::strcmp(s, "wavefront")) {
-        options.scheduler = Scheduler::Wavefront;
-      } else if (!std::strcmp(s, "steal")) {
-        options.scheduler = Scheduler::WorkStealing;
-      } else {
-        std::fprintf(stderr, "fortdc: -sched expects steal|wavefront\n");
-        return 2;
-      }
     } else if (!std::strcmp(argv[i], "-cache-dir") && i + 1 < argc) {
       cache_options.dir = argv[++i];
     } else if (!std::strcmp(argv[i], "-cache-max-bytes") && i + 1 < argc) {
       cache_options.max_bytes =
           static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (!std::strcmp(argv[i], "-cache-remote") && i + 1 < argc) {
-      cache_options.remote_endpoint = argv[++i];
-    } else if (!std::strcmp(argv[i], "-cache-remote-timeout-ms") &&
-               i + 1 < argc) {
-      cache_options.remote_timeout_ms = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "-cache-no-prefetch")) {
-      cache_options.prefetch = false;
     } else if (!std::strcmp(argv[i], "-cache-stats-json")) {
       cache_stats_json = true;
     } else if (!std::strcmp(argv[i], "-cache-clear")) {
@@ -177,11 +142,9 @@ int main(int argc, char** argv) {
   if (!path) {
     std::fprintf(stderr,
                  "usage: fortdc [-p N] [-j N] [-s inter|intra|runtime] "
-                 "[-O 0..3] [-sched steal|wavefront] "
-                 "[-cache-dir D] [-cache-max-bytes N] "
-                 "[-cache-clear] [-cache-remote HOST:PORT[,HOST:PORT...]] "
-                 "[-cache-remote-timeout-ms N] [-cache-no-prefetch] "
-                 "[-cache-stats-json] [-run] [-backend sim|threads] "
+                 "[-O 0..3] [-cache-dir D] [-cache-max-bytes N] "
+                 "[-cache-clear] [-cache-stats-json] [-run] "
+                 "[-backend sim|threads] "
                  "[-analyze] [-Werror] [-lint-json] [-timings] [-quiet] "
                  "[-server HOST:PORT] [-server-timeout-ms N] file.fd\n");
     return 2;
@@ -280,9 +243,7 @@ int main(int argc, char** argv) {
   }
 
   int findings = 0;
-  IpaOptions ipa_options;
-  ipa_options.scheduler = options.scheduler;  // one -sched flag, both phases
-  Compiler compiler(options, ipa_options, lint_options, cache_options);
+  Compiler compiler(options, IpaOptions{}, lint_options, cache_options);
   if (cache_clear) compiler.content_store()->clear();
 
   // Timings survive a CompileError (Compiler fills last_stats() before the
@@ -311,54 +272,19 @@ int main(int argc, char** argv) {
                    "; disk: %d hit(s), %d miss(es), %d corrupt, %d evicted",
                    cs.disk_hits, cs.disk_misses, cs.disk_corrupt,
                    cs.disk_evictions);
-    if (!cache_options.remote_endpoint.empty())
-      std::fprintf(stderr,
-                   "; remote: %d hit(s), %d put(s), %d error(s), "
-                   "%d retrie(s), %d/%d prefetched, %d shard(s)%s",
-                   cs.remote_hits, cs.remote_puts, cs.remote_errors,
-                   cs.remote_retries, cs.prefetch_hits, cs.prefetch_issued,
-                   cs.remote_shards,
-                   cs.remote_degraded          ? ", DEGRADED"
-                   : cs.remote_shards_degraded ? ", PARTIALLY DEGRADED"
-                                               : "");
     std::fputc('\n', stderr);
-    if (options.scheduler == Scheduler::WorkStealing)
-      std::fprintf(stderr,
-                   "fortdc: sched: %ld task(s) (%ld stolen, %ld prefetch), "
-                   "ready peak %d, critical path %d, idle codegen "
-                   "%.2fms / ipa %.2fms\n",
-                   cs.sched_tasks, cs.sched_stolen, cs.sched_prefetch_tasks,
-                   cs.sched_ready_peak, cs.sched_critical_path,
-                   cs.sched_idle_codegen_ms, cs.sched_idle_ipa_ms);
+    std::fprintf(stderr,
+                 "fortdc: sched: %ld task(s) (%ld stolen), ready peak %d, "
+                 "critical path %d, idle codegen %.2fms / ipa %.2fms\n",
+                 cs.sched_tasks, cs.sched_stolen, cs.sched_ready_peak,
+                 cs.sched_critical_path, cs.sched_idle_codegen_ms,
+                 cs.sched_idle_ipa_ms);
     if (lint_options.analyze)
       std::fprintf(stderr,
                    "fortdc: lint %.2fms (%d warning(s), %d note(s)), "
                    "verify %.2fms (%d unmatched)\n",
                    cs.lint_ms, cs.lint_warnings, cs.lint_notes,
                    cs.verify_ms, cs.verify_unmatched);
-  };
-
-  // One diagnostic when the remote tier (or part of it) gave up — the
-  // compile itself succeeded from the local tiers; this only explains
-  // the slowdown.
-  auto report_remote_degradation = [&] {
-    auto* rs = compiler.remote_store();
-    if (!rs) return;
-    if (rs->degraded()) {
-      std::fprintf(stderr,
-                   "fortdc: warning: remote cache unavailable, continuing "
-                   "with local tiers only (%s)\n",
-                   rs->degraded_reason().c_str());
-    } else if (rs->any_degraded()) {
-      const auto down = rs->shard_degraded();
-      for (size_t s = 0; s < down.size(); ++s)
-        if (down[s])
-          std::fprintf(stderr,
-                       "fortdc: warning: cache shard %s unavailable, its "
-                       "key range regenerates locally (%s)\n",
-                       rs->shard_map().endpoint(s).c_str(),
-                       rs->degraded_reason().c_str());
-    }
   };
 
   try {
@@ -391,7 +317,6 @@ int main(int argc, char** argv) {
                  st.runtime_resolved_stmts);
 
     if (timings) print_timings();
-    report_remote_degradation();
     if (cache_stats_json)
       std::fprintf(stdout, "%s\n", compiler.cache_stats_json().c_str());
 
@@ -418,7 +343,6 @@ int main(int argc, char** argv) {
       std::fputs(compiler.last_lint_report().text().c_str(), stderr);
     }
     if (timings) print_timings();
-    report_remote_degradation();
     std::fprintf(stderr, "fortdc: %s\n", e.what());
     return 1;
   } catch (const std::exception& e) {

@@ -9,7 +9,6 @@
 #include "codegen/runtime_resolution.hpp"
 #include "codegen/storage.hpp"
 #include "driver/compilation_cache.hpp"
-#include "driver/compilation_db.hpp"
 #include "support/thread_pool.hpp"
 
 namespace fortd {
@@ -98,7 +97,7 @@ public:
 
   /// This procedure's contribution to the program-wide counters. ProcGen
   /// deliberately never writes shared CodeGenerator state: instances for
-  /// one wavefront level run concurrently.
+  /// independent procedures run concurrently.
   const CompileStats& stats() const { return stats_; }
 
 private:
@@ -1913,19 +1912,7 @@ SpmdProgram CodeGenerator::generate() {
   const auto& procs = program_.ast.procedures;
   std::vector<ProcOut> outs(procs.size());
 
-  // Readiness-driven prefetch: §8's recompilation digests are exact, so
-  // a procedure's digest is computable the moment its callee exports
-  // resolved — one BATCH_GET per remote shard then warms the store
-  // while other procedures generate.
-  ContentStore* pstore = nullptr;
-  if (cache_ && cache_->store() && cache_->store()->has_remote() &&
-      cache_->store()->options().prefetch)
-    pstore = cache_->store();
-
-  if (options_.scheduler == Scheduler::Wavefront)
-    schedule_wavefront(outs, pstore);
-  else
-    schedule_work_stealing(outs, pstore);
+  schedule(outs);
 
   // Merge per-procedure results. Counters accumulate in reverse
   // topological order (the serial emission order); the output AST is
@@ -1969,160 +1956,16 @@ SpmdProgram CodeGenerator::generate() {
   return std::move(result_);
 }
 
-/// The depth-leveled schedule of PR 1/6, kept behind
-/// Scheduler::Wavefront as the measurable barrier baseline: per-level
-/// serial cache probes, one parallel_for per level (prefetch of the
-/// next level's known digests riding the same batch), and a barrier
-/// that publishes exports/cache entries in level order.
-void CodeGenerator::schedule_wavefront(std::vector<ProcOut>& outs,
-                                       ContentStore* pstore) {
-  const auto& procs = program_.ast.procedures;
-  const int jobs = std::max(1, options_.jobs);
-  ThreadPool* pool = pool_;           // borrowed (shared with IPA) ...
-  std::unique_ptr<ThreadPool> local;  // ... or transient when none given
-
-  // The digests of `level`'s procedures whose callee exports are all
-  // present in `exports` (a leaf level trivially qualifies); procedures
-  // with an unresolved callee are skipped — their digests would be wrong.
-  const auto level_digests =
-      [&](const std::vector<int>& level,
-          const std::map<std::string, ProcExports>& exports) {
-        std::vector<uint64_t> digests;
-        for (int idx : level) {
-          const Procedure& proc = *procs[static_cast<size_t>(idx)];
-          bool resolved = true;
-          for (const CallSiteInfo* site : ipa_.acg.calls_from(proc.name))
-            if (!exports.count(site->callee)) {
-              resolved = false;
-              break;
-            }
-          if (resolved)
-            digests.push_back(procedure_digest(proc, program_, ipa_,
-                                               overlaps_, options_, exports));
-        }
-        return digests;
-      };
-
-  // Wavefront schedule over the reverse topological order: all of a
-  // level's callees completed in earlier levels, so the level's
-  // procedures are independent and may be generated concurrently.
-  const std::vector<std::vector<int>> levels = ipa_.acg.wavefront_levels();
-
-  // The first level has nothing to overlap with; fetch it up front so
-  // even the leaves' probes land on a warm memory tier.
-  if (pstore && !levels.empty()) {
-    for (const auto& group :
-         pstore->prefetch_groups(kProcArtifactKind,
-                                 level_digests(levels[0], exports_)))
-      pstore->prefetch(kProcArtifactKind, proc_artifact_format_hash(), group);
-  }
-
-  for (size_t li = 0; li < levels.size(); ++li) {
-    const std::vector<int>& level = levels[li];
-    // Cache probe, serial: digests fold in callee exports, final since
-    // the previous level's barrier.
-    std::vector<int> pending;
-    for (int idx : level) {
-      const Procedure& proc = *procs[static_cast<size_t>(idx)];
-      ProcOut& out = outs[static_cast<size_t>(idx)];
-      if (cache_) {
-        out.digest = procedure_digest(proc, program_, ipa_, overlaps_,
-                                      options_, exports_);
-        if (auto hit = cache_->lookup(out.digest)) {
-          out.compiled = hit->compiled->clone_as(hit->compiled->name);
-          out.exports = hit->exports;
-          out.storage = hit->storage;
-          out.stats = hit->stats;
-          out.from_cache = true;
-          continue;
-        }
-      }
-      pending.push_back(idx);
-    }
-
-    // Group the next level's known digests by shard before launching the
-    // batch: this level's cache hits already fixed their exports, so a
-    // caller all of whose callees hit is prefetchable right now, and the
-    // BATCH_GETs overlap with this level's code generation below.
-    std::vector<std::vector<uint64_t>> prefetch_groups;
-    if (pstore && li + 1 < levels.size()) {
-      std::map<std::string, ProcExports> resolved = exports_;
-      for (int idx : level) {
-        const ProcOut& out = outs[static_cast<size_t>(idx)];
-        if (out.from_cache)
-          resolved[procs[static_cast<size_t>(idx)]->name] = out.exports;
-      }
-      prefetch_groups = pstore->prefetch_groups(
-          kProcArtifactKind, level_digests(levels[li + 1], resolved));
-    }
-
-    auto compile_one = [&](size_t k) {
-      const int idx = pending[k];
-      const Procedure& proc = *procs[static_cast<size_t>(idx)];
-      ProcOut& out = outs[static_cast<size_t>(idx)];
-      ProcGen gen(*this, proc);
-      out.compiled = gen.run(out.exports);
-      out.stats = gen.stats();
-      out.storage = compute_storage(*this, proc, out.exports, out.stats);
-    };
-    // Prefetch tasks ride the same batch as the level's procedures: the
-    // pool runs one batch at a time, so extra indices are the only way
-    // to overlap the network round trips with codegen.
-    auto task = [&](size_t k) {
-      if (k < pending.size())
-        compile_one(k);
-      else
-        pstore->prefetch(kProcArtifactKind, proc_artifact_format_hash(),
-                         prefetch_groups[k - pending.size()]);
-    };
-    const size_t n_tasks = pending.size() + prefetch_groups.size();
-    if (jobs > 1 && n_tasks > 1) {
-      if (!pool) {
-        local = std::make_unique<ThreadPool>(jobs - 1);
-        pool = local.get();
-      }
-      pool->parallel_for(n_tasks, task);
-    } else {
-      // Serial schedule: issue the batched fetches first (still one
-      // round trip per shard instead of one per next-level miss), then
-      // generate.
-      for (size_t k = pending.size(); k < n_tasks; ++k) task(k);
-      for (size_t k = 0; k < pending.size(); ++k) compile_one(k);
-    }
-
-    // Level barrier: publish exports and cache entries in deterministic
-    // level order before any caller level starts.
-    for (int idx : level) {
-      ProcOut& out = outs[static_cast<size_t>(idx)];
-      const std::string& name = procs[static_cast<size_t>(idx)]->name;
-      exports_[name] = out.exports;
-      if (!out.from_cache) last_generated_.push_back(name);
-      if (cache_ && !out.from_cache) {
-        CachedProcedure entry;
-        entry.compiled = out.compiled->clone_as(out.compiled->name);
-        entry.exports = out.exports;
-        entry.storage = out.storage;
-        entry.stats = out.stats;
-        cache_->insert(out.digest, std::move(entry));
-      }
-    }
-  }
-}
-
-/// The barrier-free schedule (default): a TaskGraph node per procedure
-/// in reverse topological order, dependency edges to callees, and a
-/// work-stealing run on the shared pool. A procedure's cache probe and
-/// generation start the moment its own callees finish. The ready hook
-/// finalizes digests (a node is ready exactly when its last callee
-/// export resolved) and spawns per-shard prefetch batches as auxiliary
-/// tasks — readiness-driven lookahead, deeper than the wavefront's
-/// one-level window. Exports publish into pre-sized map slots as tasks
-/// finish (ordered by the dependency edges); everything
-/// order-sensitive — last_generated_, cache inserts — is committed
-/// after the run in fixed reverse topological order, so output and
-/// digest semantics are byte-identical to the serial walk.
-void CodeGenerator::schedule_work_stealing(std::vector<ProcOut>& outs,
-                                           ContentStore* pstore) {
+/// The barrier-free schedule: a TaskGraph node per procedure in reverse
+/// topological order, dependency edges to callees, and a work-stealing
+/// run on the shared pool. A procedure's digest, cache probe and
+/// generation start the moment its own callees finish — by then every
+/// callee export its digest folds in is final. Exports publish into
+/// pre-sized map slots as tasks finish (ordered by the dependency
+/// edges); everything order-sensitive — last_generated_, cache inserts —
+/// is committed after the run in fixed reverse topological order, so
+/// output and digest semantics are byte-identical to the serial walk.
+void CodeGenerator::schedule(std::vector<ProcOut>& outs) {
   const auto& procs = program_.ast.procedures;
   const int jobs = std::max(1, options_.jobs);
   ThreadPool* pool = jobs > 1 ? pool_ : nullptr;
@@ -2153,36 +1996,13 @@ void CodeGenerator::schedule_work_stealing(std::vector<ProcOut>& outs,
   // callers run.
   for (const auto& proc : procs) exports_[proc->name];
 
-  graph.set_ready_hook([&](const std::vector<size_t>& ready) {
-    if (!cache_) return;
-    // All callee exports of `ready` are final: their digests are exact.
-    std::vector<uint64_t> digests;
-    digests.reserve(ready.size());
-    for (size_t k : ready) {
-      ProcOut& out = outs[static_cast<size_t>(order[k])];
-      out.digest =
-          procedure_digest(*procs[static_cast<size_t>(order[k])], program_,
-                           ipa_, overlaps_, options_, exports_);
-      digests.push_back(out.digest);
-    }
-    if (!pstore) return;
-    // One BATCH_GET per owning shard, issued right now as idle-worker
-    // tasks. A probe can race its own in-flight prefetch and fall
-    // through to a direct GET — correct (the store dedups promotion),
-    // merely redundant; the prefetch_requested_ ledger keeps each
-    // digest fetched at most once.
-    for (auto& group : pstore->prefetch_groups(kProcArtifactKind, digests))
-      graph.spawn_aux([pstore, group = std::move(group)] {
-        pstore->prefetch(kProcArtifactKind, proc_artifact_format_hash(),
-                         group);
-      });
-  });
-
   graph.run(pool, [&](size_t k) {
     const int idx = order[k];
     const Procedure& proc = *procs[static_cast<size_t>(idx)];
     ProcOut& out = outs[static_cast<size_t>(idx)];
     if (cache_) {
+      out.digest = procedure_digest(proc, program_, ipa_, overlaps_,
+                                    options_, exports_);
       if (auto hit = cache_->lookup(out.digest)) {
         out.compiled = hit->compiled->clone_as(hit->compiled->name);
         out.exports = hit->exports;

@@ -3,17 +3,15 @@
 // instantiation of the computation partition, communication, and dynamic
 // data decomposition so callers can optimize across procedure boundaries.
 //
-// The reverse topological walk is scheduled barrier-free by default: a
-// TaskGraph node per procedure, dependency edges to its callees, and a
+// The reverse topological walk is scheduled barrier-free: a TaskGraph
+// node per procedure, dependency edges to its callees, and a
 // work-stealing run over the shared ThreadPool (options.jobs > 1) — a
 // caller starts the moment its own callees finish. Each ProcGen touches
 // only its own state; results are committed in fixed reverse topological
 // order after the run, so output is byte-identical to the serial walk
-// regardless of completion order. Scheduler::Wavefront keeps the
-// depth-leveled schedule of PR 1 (a barrier per ACG level) as the
-// measurable baseline. An optional content-hashed CompilationCache
-// short-circuits generation of procedures whose §8 recompilation-test
-// inputs are unchanged since a previous compile.
+// regardless of completion order. An optional content-hashed
+// CompilationCache short-circuits generation of procedures whose §8
+// recompilation-test inputs are unchanged since a previous compile.
 #pragma once
 
 #include <map>
@@ -27,11 +25,11 @@
 #include "codegen/spmd.hpp"
 #include "ipa/cloning.hpp"
 #include "ipa/overlap_prop.hpp"
+#include "support/task_graph.hpp"
 
 namespace fortd {
 
 class CompilationCache;
-class ContentStore;
 struct ProcOut;  // internal per-procedure result slot (codegen.cpp)
 
 /// Everything a compiled procedure exports to its (not yet compiled)
@@ -76,13 +74,12 @@ public:
                 ThreadPool* pool = nullptr);
 
   /// Compile the whole program (one pass per procedure) over the ACG
-  /// dependency graph — work-stealing by default, depth-leveled under
-  /// Scheduler::Wavefront. Parallel schedules (options.jobs > 1)
-  /// produce output byte-identical to the serial walk.
+  /// dependency graph with a work-stealing schedule. Parallel schedules
+  /// (options.jobs > 1) produce output byte-identical to the serial walk.
   SpmdProgram generate();
 
   /// Work-stealing scheduler counters of the last generate() (all zero
-  /// under Scheduler::Wavefront or for an empty program).
+  /// for an empty program).
   const TaskGraphStats& scheduler_stats() const { return sched_stats_; }
 
   /// Exports of an already compiled procedure (test/bench introspection).
@@ -103,12 +100,10 @@ public:
 private:
   friend class ProcGen;
 
-  /// The two schedules. Both fill `outs` (indexed by procedure index),
-  /// publish exports_, append last_generated_, and insert cache entries
-  /// in the same deterministic reverse topological order.
-  void schedule_wavefront(std::vector<ProcOut>& outs, ContentStore* pstore);
-  void schedule_work_stealing(std::vector<ProcOut>& outs,
-                              ContentStore* pstore);
+  /// Fills `outs` (indexed by procedure index), publishes exports_,
+  /// appends last_generated_, and inserts cache entries in
+  /// deterministic reverse topological order.
+  void schedule(std::vector<ProcOut>& outs);
 
   const BoundProgram& program_;
   const IpaContext& ipa_;
@@ -116,12 +111,10 @@ private:
   OverlapEstimates overlaps_;
   CompilationCache* cache_ = nullptr;
   ThreadPool* pool_ = nullptr;  // borrowed; may be null
-  /// Exports of completed procedures. Wavefront: mutated only at level
-  /// barriers, workers read entries of earlier levels. Work-stealing:
-  /// pre-sized with every procedure name before the run, then tasks
-  /// assign mapped values in place — map structure is never mutated
-  /// concurrently, and a dependency edge orders each callee's write
-  /// before any caller's read.
+  /// Exports of completed procedures: pre-sized with every procedure
+  /// name before the run, then tasks assign mapped values in place —
+  /// map structure is never mutated concurrently, and a dependency edge
+  /// orders each callee's write before any caller's read.
   std::map<std::string, ProcExports> exports_;
   std::vector<std::string> last_generated_;
   TaskGraphStats sched_stats_;

@@ -2,8 +2,6 @@
 // levels the paper's evaluation compares.
 #pragma once
 
-#include "support/task_graph.hpp"  // Scheduler
-
 namespace fortd {
 
 /// Overall compilation strategy.
@@ -34,12 +32,6 @@ struct CodegenOptions {
   /// Affects only the schedule: generated code is byte-identical for any
   /// value, and the field is excluded from procedure cache digests.
   int jobs = 1;
-  /// How the per-procedure schedule is driven: barrier-free
-  /// work-stealing over the ACG dependency graph (default), or the
-  /// depth-leveled wavefronts with a barrier per level (the measurable
-  /// baseline). Like jobs, schedule-only: byte-identical output, and
-  /// excluded from cache digests.
-  Scheduler scheduler = Scheduler::WorkStealing;
   Strategy strategy = Strategy::Interprocedural;
   DynDecompOpt dyn_decomp = DynDecompOpt::Full;
   /// Store nonlocal data in buffers instead of overlap regions when the

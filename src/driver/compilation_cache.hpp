@@ -77,10 +77,6 @@ public:
   /// thread-safe against concurrent lookups — call before compiling.
   void attach_store(ContentStore* store) { store_ = store; }
 
-  /// The attached persistent tier (null when memory-only) — codegen uses
-  /// it to issue wavefront prefetches against the remote shards.
-  ContentStore* store() const { return store_; }
-
   /// nullptr on miss in both tiers; the entry stays owned by the cache.
   /// A disk-tier hit is promoted into the memory tier and counted as a
   /// hit here (the store keeps its own counters).

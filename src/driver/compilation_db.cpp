@@ -76,40 +76,13 @@ std::optional<uint64_t> parse_hex_digest(const std::string& name) {
   return v;
 }
 
-}  // namespace
-
-std::vector<std::pair<bool, std::vector<uint8_t>>>
-StorageBackend::batch_get_blobs(
-    uint64_t format_hash,
-    const std::vector<std::pair<std::string, uint64_t>>& keys) {
-  // Fallback for backends without a native bulk fetch: one round trip
-  // per key. RemoteStore/ShardedRemoteStore override with BATCH_GET.
-  std::vector<std::pair<bool, std::vector<uint8_t>>> out;
-  out.reserve(keys.size());
-  for (const auto& [kind, digest] : keys) {
-    auto blob = get_blob(kind, format_hash, digest);
-    if (blob)
-      out.emplace_back(true, std::move(*blob));
-    else
-      out.emplace_back(false, std::vector<uint8_t>{});
-  }
-  return out;
-}
-
-std::vector<uint8_t> make_blob_envelope(uint64_t format_hash, uint64_t digest,
-                                        const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> comp = compress_bytes(payload);
-  std::vector<uint8_t> out;
-  out.reserve(kHeaderSize + comp.size() + kTrailerSize);
-  for (uint8_t b : kMagic) out.push_back(b);
-  put_u64(out, format_hash);
-  put_u64(out, digest);
-  put_u64(out, comp.size());
-  put_u64(out, payload.size());
-  out.insert(out.end(), comp.begin(), comp.end());
-  put_u64(out, fnv1a(comp.data(), comp.size()));
-  return out;
-}
+/// Header fields of a structurally valid envelope (magic, sizes, and
+/// checksum verified; format hash NOT compared against anything).
+struct BlobInfo {
+  uint64_t format_hash = 0;
+  uint64_t digest = 0;
+  uint64_t raw_size = 0;
+};
 
 std::optional<BlobInfo> inspect_blob_envelope(
     const std::vector<uint8_t>& blob) {
@@ -125,6 +98,23 @@ std::optional<BlobInfo> inspect_blob_envelope(
   const uint8_t* comp = blob.data() + kHeaderSize;
   if (get_u64(comp + comp_size) != fnv1a(comp, comp_size)) return std::nullopt;
   return info;
+}
+
+}  // namespace
+
+std::vector<uint8_t> make_blob_envelope(uint64_t format_hash, uint64_t digest,
+                                        const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> comp = compress_bytes(payload);
+  std::vector<uint8_t> out;
+  out.reserve(kHeaderSize + comp.size() + kTrailerSize);
+  for (uint8_t b : kMagic) out.push_back(b);
+  put_u64(out, format_hash);
+  put_u64(out, digest);
+  put_u64(out, comp.size());
+  put_u64(out, payload.size());
+  out.insert(out.end(), comp.begin(), comp.end());
+  put_u64(out, fnv1a(comp.data(), comp.size()));
+  return out;
 }
 
 std::optional<std::vector<uint8_t>> open_blob_envelope(
@@ -222,7 +212,7 @@ void ContentStore::quarantine_locked(const std::string& kind,
   ++counters_.corrupt;
   index_.erase({kind, digest});
   index_dirty_ = true;
-  if (options_.read_only || options_.dir.empty()) return;
+  if (options_.dir.empty()) return;
   std::error_code ec;
   fs::remove(blob_path(kind, digest), ec);
 }
@@ -232,9 +222,9 @@ std::optional<std::vector<uint8_t>> ContentStore::local_blob_locked(
   const Key key{kind, digest};
 
   if (auto pit = pending_.find(key); pit != pending_.end()) {
-    auto info = inspect_blob_envelope(pit->second.blob);
+    auto info = inspect_blob_envelope(pit->second);
     if (info && info->format_hash == format_hash && info->digest == digest)
-      return pit->second.blob;
+      return pit->second;
     // A pending blob written under a different format hash (never in
     // practice: one process runs one codec version).
     return std::nullopt;
@@ -264,81 +254,21 @@ std::optional<std::vector<uint8_t>> ContentStore::local_blob_locked(
 std::optional<std::vector<uint8_t>> ContentStore::load(const std::string& kind,
                                                        uint64_t format_hash,
                                                        uint64_t digest) {
-  if (options_.dir.empty() && !remote_) return std::nullopt;
-  if (!valid_kind(kind)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.misses;
-    return std::nullopt;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto blob = local_blob_locked(kind, format_hash, digest)) {
-      if (auto payload = open_blob_envelope(*blob, format_hash, digest)) {
-        ++counters_.hits;
-        return payload;
-      }
-      // Checksum passed but the payload would not decompress to its
-      // declared size: treat exactly like disk corruption.
-      pending_.erase({kind, digest});
-      quarantine_locked(kind, digest);
-      ++counters_.misses;
-      return std::nullopt;
-    }
-    // A wavefront prefetch may have landed this blob already: consume it
-    // (count it as a remote hit — that is where the bytes came from) and
-    // promote it like a synchronous remote hit would be.
-    if (auto pf = prefetch_.find({kind, digest}); pf != prefetch_.end()) {
-      std::vector<uint8_t> blob = std::move(pf->second);
-      prefetch_.erase(pf);
-      if (auto payload = open_blob_envelope(blob, format_hash, digest)) {
-        ++counters_.remote_hits;
-        if (!options_.read_only)
-          pending_[{kind, digest}] = PendingBlob{std::move(blob), true};
-        return payload;
-      }
-      // Envelope was vetted at prefetch time, so only a decompression
-      // failure lands here; fall through to the synchronous remote path.
-      ++counters_.corrupt;
-    }
-  }
-
-  // Local miss: consult the remote tier outside the lock (a network
-  // round-trip must not serialize concurrent codegen workers behind mu_).
-  if (remote_) {
-    if (auto blob = remote_->get_blob(kind, format_hash, digest)) {
-      if (auto payload = open_blob_envelope(*blob, format_hash, digest)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.remote_hits;
-        // Promote: the enveloped bytes land in the local tier at the next
-        // flush (and serve repeat loads from the pending buffer). A
-        // read-only store never flushes, so buffering there would only
-        // grow pending_ without bound — skip promotion entirely.
-        if (!options_.read_only)
-          pending_[{kind, digest}] = PendingBlob{std::move(*blob), true};
-        return payload;
-      }
-      // The daemon sent bytes that fail validation: count it, fall
-      // through to a miss (nothing local to quarantine).
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.corrupt;
-    }
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.misses;
-  return std::nullopt;
-}
-
-std::optional<std::vector<uint8_t>> ContentStore::load_blob(
-    const std::string& kind, uint64_t format_hash, uint64_t digest) {
+  if (options_.dir.empty()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
   if (!valid_kind(kind)) {
     ++counters_.misses;
     return std::nullopt;
   }
   if (auto blob = local_blob_locked(kind, format_hash, digest)) {
-    ++counters_.hits;
-    return blob;
+    if (auto payload = open_blob_envelope(*blob, format_hash, digest)) {
+      ++counters_.hits;
+      return payload;
+    }
+    // Checksum passed but the payload would not decompress to its
+    // declared size: treat exactly like disk corruption.
+    pending_.erase({kind, digest});
+    quarantine_locked(kind, digest);
   }
   ++counters_.misses;
   return std::nullopt;
@@ -346,88 +276,15 @@ std::optional<std::vector<uint8_t>> ContentStore::load_blob(
 
 void ContentStore::store(const std::string& kind, uint64_t format_hash,
                          uint64_t digest, std::vector<uint8_t> payload) {
-  if (options_.read_only) return;
-  if (options_.dir.empty() && !remote_) return;
+  if (options_.dir.empty()) return;
   if (!valid_kind(kind)) return;  // dropped write, never a path component
   std::vector<uint8_t> blob = make_blob_envelope(format_hash, digest, payload);
   std::lock_guard<std::mutex> lock(mu_);
-  pending_[{kind, digest}] = PendingBlob{std::move(blob), false};
-}
-
-void ContentStore::store_blob(const std::string& kind, uint64_t digest,
-                              std::vector<uint8_t> blob) {
-  if (options_.read_only) return;
-  if (options_.dir.empty() && !remote_) return;
-  if (!valid_kind(kind)) return;  // dropped write, never a path component
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_[{kind, digest}] = PendingBlob{std::move(blob), true};
-}
-
-bool ContentStore::has_remote() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return remote_ != nullptr;
-}
-
-std::vector<std::vector<uint64_t>> ContentStore::prefetch_groups(
-    const std::string& kind, const std::vector<uint64_t>& digests) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!remote_ || !valid_kind(kind)) return {};
-  std::vector<std::vector<uint64_t>> groups(remote_->shard_count());
-  for (uint64_t digest : digests) {
-    const Key key{kind, digest};
-    if (pending_.count(key) || prefetch_.count(key) || index_.count(key))
-      continue;  // a local tier already holds it
-    if (!prefetch_requested_.insert(key).second) continue;  // asked before
-    groups[remote_->shard_of(kind, digest)].push_back(digest);
-  }
-  // Drop empty shards so callers schedule exactly one task per BATCH_GET.
-  std::vector<std::vector<uint64_t>> out;
-  for (auto& g : groups)
-    if (!g.empty()) out.push_back(std::move(g));
-  return out;
-}
-
-size_t ContentStore::prefetch(const std::string& kind, uint64_t format_hash,
-                              const std::vector<uint64_t>& digests) {
-  if (digests.empty() || !valid_kind(kind)) return 0;
-  StorageBackend* remote;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!remote_) return 0;
-    remote = remote_;
-    counters_.prefetch_issued += digests.size();
-  }
-  std::vector<std::pair<std::string, uint64_t>> keys;
-  keys.reserve(digests.size());
-  for (uint64_t digest : digests) keys.emplace_back(kind, digest);
-
-  // The network round trip runs without mu_ so concurrent load()/store()
-  // (the level-k codegen this prefetch overlaps with) never stall on it.
-  auto results = remote->batch_get_blobs(format_hash, keys);
-  if (results.size() != keys.size()) return 0;
-
-  size_t landed = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    auto& [found, blob] = results[i];
-    if (!found) continue;
-    auto info = inspect_blob_envelope(blob);
-    if (!info || info->format_hash != format_hash ||
-        info->digest != keys[i].second) {
-      ++counters_.corrupt;  // wire damage or a confused daemon
-      continue;
-    }
-    const Key key{kind, keys[i].second};
-    if (pending_.count(key)) continue;  // raced with a synchronous load
-    prefetch_[key] = std::move(blob);
-    ++landed;
-  }
-  counters_.prefetch_hits += landed;
-  return landed;
+  pending_[{kind, digest}] = std::move(blob);
 }
 
 void ContentStore::mark_corrupt(const std::string& kind, uint64_t digest) {
-  if (options_.dir.empty() && !remote_) return;
+  if (options_.dir.empty()) return;
   if (!valid_kind(kind)) return;
   std::lock_guard<std::mutex> lock(mu_);
   pending_.erase({kind, digest});
@@ -435,36 +292,18 @@ void ContentStore::mark_corrupt(const std::string& kind, uint64_t digest) {
 }
 
 void ContentStore::flush() {
-  if (options_.read_only) return;
-  if (options_.dir.empty() && !remote_) return;
-  std::vector<std::pair<Key, std::vector<uint8_t>>> to_put;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    flush_locked(remote_ ? &to_put : nullptr);
-  }
-  // Write-through to the daemon outside the lock; the client degrades
-  // failures internally (circuit breaker), so this never blocks long.
-  for (auto& [key, blob] : to_put)
-    remote_->put_blob(key.first, key.second, blob);
-}
-
-void ContentStore::flush_locked(
-    std::vector<std::pair<Key, std::vector<uint8_t>>>* to_put) {
+  if (options_.dir.empty()) return;
+  std::lock_guard<std::mutex> lock(mu_);
   std::error_code ec;
-  const bool local = !options_.dir.empty();
-  for (auto& [key, pb] : pending_) {
-    // Promotions came *from* the remote tier; don't echo them back.
-    if (to_put && !pb.from_remote) to_put->emplace_back(key, pb.blob);
-    if (!local) continue;
+  for (auto& [key, blob] : pending_) {
     fs::create_directories(options_.dir + "/" + key.first, ec);
     const std::string path = blob_path(key.first, key.second);
-    if (!write_file_atomic(path, pb.blob)) continue;  // dropped write
-    index_[key] = Entry{pb.blob.size(), next_tick_++};
+    if (!write_file_atomic(path, blob)) continue;  // dropped write
+    index_[key] = Entry{blob.size(), next_tick_++};
     ++counters_.writes;
     index_dirty_ = true;
   }
   pending_.clear();
-  if (!local) return;
 
   // LRU GC: evict oldest-tick artifacts until the size bound holds.
   if (options_.max_bytes > 0) {
@@ -495,22 +334,14 @@ void ContentStore::flush_locked(
 }
 
 void ContentStore::clear() {
-  if (options_.dir.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.clear();
-    prefetch_.clear();
-    prefetch_requested_.clear();
-    return;
-  }
   std::lock_guard<std::mutex> lock(mu_);
+  pending_.clear();
+  if (options_.dir.empty()) return;
   std::error_code ec;
   for (const auto& [key, entry] : index_)
     fs::remove(blob_path(key.first, key.second), ec);
   fs::remove(index_path(), ec);
   index_.clear();
-  pending_.clear();
-  prefetch_.clear();
-  prefetch_requested_.clear();
   index_dirty_ = false;
 }
 
@@ -522,7 +353,7 @@ ContentStore::Counters ContentStore::counters() const {
 size_t ContentStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = index_.size();
-  for (const auto& [key, pb] : pending_)
+  for (const auto& [key, blob] : pending_)
     if (!index_.count(key)) ++n;
   return n;
 }

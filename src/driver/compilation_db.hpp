@@ -25,13 +25,8 @@
 //     exceeds max_bytes at flush time, least-recently-used artifacts are
 //     evicted (their blob files deleted) until the bound holds.
 //
-// Since PR 5 the payload inside the envelope is LZ-compressed
-// (support/compress.hpp) and the ladder has an optional third tier: a
-// StorageBackend (in practice remote/client.hpp's RemoteStore talking to
-// a fortd-cached daemon) consulted after a local miss, with remote hits
-// promoted into the local tier and local writes forwarded write-through.
-// Backends exchange *enveloped* blobs, so the checksum that protects a
-// blob at rest also protects it end-to-end across the wire.
+// The payload inside the envelope is LZ-compressed
+// (support/compress.hpp).
 //
 // All operations are thread-safe and never throw past the store boundary:
 // I/O errors degrade to misses (reads) or dropped writes.
@@ -41,64 +36,19 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace fortd {
 
 /// Driver-level knobs for the persistent tier (fortdc -cache-dir,
-/// -cache-max-bytes, -cache-remote). An empty dir disables the local disk
-/// tier; an empty remote_endpoint disables the network tier; with both
-/// empty the caches are purely in-memory.
+/// -cache-max-bytes). An empty dir leaves the caches purely in-memory.
 struct CacheOptions {
-  std::string dir;                       // empty = no local disk tier
+  std::string dir;                       // empty = no disk tier
   uint64_t max_bytes = 256ull << 20;     // LRU GC bound (0 = unbounded)
-  bool read_only = false;                // consult but never write/evict
-  /// Comma-separated "host:port" endpoints of fortd-cached daemons; more
-  /// than one forms a consistent-hash sharded fleet (remote/shard_map.hpp).
-  std::string remote_endpoint{};
-  int remote_timeout_ms = 250;           // per-request network deadline
-  bool prefetch = true;                  // wavefront BATCH_GET prefetch
 };
 
-/// A composable blob tier under the ContentStore. Implementations
-/// exchange complete FDCA-enveloped blobs (see make_blob_envelope), so a
-/// backend never needs to understand artifact payloads and every byte it
-/// returns is checksum-validated by the caller. Implementations must be
-/// thread-safe and must degrade failures to nullopt/false, never throw.
-class StorageBackend {
- public:
-  virtual ~StorageBackend() = default;
-
-  /// The enveloped blob stored under (kind, digest), or nullopt on miss
-  /// or failure. `format_hash` travels with the request so a backend
-  /// holding stale-format blobs reads as a miss, not as corruption here.
-  virtual std::optional<std::vector<uint8_t>> get_blob(
-      const std::string& kind, uint64_t format_hash, uint64_t digest) = 0;
-
-  /// Persist an enveloped blob (best effort; false = dropped).
-  virtual bool put_blob(const std::string& kind, uint64_t digest,
-                        const std::vector<uint8_t>& blob) = 0;
-
-  /// Fetch many keys in as few round trips as the backend can manage:
-  /// per-key (found, enveloped blob) results parallel to `keys`. The
-  /// default loops get_blob; networked backends override with BATCH_GET.
-  virtual std::vector<std::pair<bool, std::vector<uint8_t>>> batch_get_blobs(
-      uint64_t format_hash,
-      const std::vector<std::pair<std::string, uint64_t>>& keys);
-
-  /// Sharding topology, so callers can group keys into one batch per
-  /// shard. A monolithic backend is one shard holding every key.
-  virtual size_t shard_count() const { return 1; }
-  virtual size_t shard_of(const std::string& /*kind*/,
-                          uint64_t /*digest*/) const {
-    return 0;
-  }
-};
-
-/// Build the FDCA on-disk/wire envelope around `payload`:
+/// Build the FDCA on-disk envelope around `payload`:
 ///   magic | format_hash | digest | comp_size | raw_size |
 ///   LZ(payload) | fnv1a(LZ(payload))
 /// (fixed-width little-endian integers so truncation checks are trivial).
@@ -112,17 +62,6 @@ std::vector<uint8_t> make_blob_envelope(uint64_t format_hash, uint64_t digest,
 std::optional<std::vector<uint8_t>> open_blob_envelope(
     const std::vector<uint8_t>& blob, uint64_t format_hash, uint64_t digest);
 
-/// Header fields of a structurally valid envelope (magic, sizes, and
-/// checksum verified; format hash NOT compared against anything). The
-/// daemon uses this to vet incoming PUT blobs it cannot otherwise
-/// interpret.
-struct BlobInfo {
-  uint64_t format_hash = 0;
-  uint64_t digest = 0;
-  uint64_t raw_size = 0;
-};
-std::optional<BlobInfo> inspect_blob_envelope(const std::vector<uint8_t>& blob);
-
 class ContentStore {
 public:
   explicit ContentStore(CacheOptions options);
@@ -133,11 +72,6 @@ public:
 
   const CacheOptions& options() const { return options_; }
 
-  /// Attach the remote tier (unowned; may be null to detach). Consulted
-  /// after a local miss; hits are promoted locally, flushed writes are
-  /// forwarded. Call before compiling — not thread-safe against load().
-  void attach_remote(StorageBackend* remote) { remote_ = remote; }
-
   /// The payload stored under (kind, digest), or nullopt on miss or on a
   /// corrupt/truncated/version-skewed blob (counted + quarantined).
   /// `format_hash` is the artifact codec's version stamp; a mismatch is
@@ -146,55 +80,18 @@ public:
                                            uint64_t format_hash,
                                            uint64_t digest);
 
-  /// The complete *enveloped* blob for (kind, digest) from the local
-  /// tiers only (pending buffer or disk; the remote tier is not
-  /// consulted). Validated like load() but not decompressed — this is
-  /// what the daemon serves over the wire byte-identically.
-  std::optional<std::vector<uint8_t>> load_blob(const std::string& kind,
-                                                uint64_t format_hash,
-                                                uint64_t digest);
-
   /// Buffer `payload` for persistence under (kind, digest). The blob
   /// reaches disk at the next flush(); load() sees it immediately.
   void store(const std::string& kind, uint64_t format_hash, uint64_t digest,
              std::vector<uint8_t> payload);
-
-  /// Buffer an already-enveloped blob under (kind, digest) — the daemon's
-  /// PUT path, skipping the decompress/recompress round trip. The caller
-  /// must have vetted the bytes via inspect_blob_envelope. The blob is
-  /// never forwarded to an attached remote tier (it came from one).
-  void store_blob(const std::string& kind, uint64_t digest,
-                  std::vector<uint8_t> blob);
 
   /// Report (kind, digest) as undecodable at a layer above the envelope
   /// (payload deserialization failure): count + quarantine, as if the
   /// envelope check had failed.
   void mark_corrupt(const std::string& kind, uint64_t digest);
 
-  /// True when a remote tier is attached — combined with
-  /// options().prefetch this gates wavefront prefetching.
-  bool has_remote() const;
-
-  /// Split `digests` (all of one kind) into one digest-list per remote
-  /// shard, dropping digests already present locally or already
-  /// requested by an earlier prefetch (each surviving digest is reserved
-  /// so overlapping levels never ask twice). Pure bookkeeping — no I/O —
-  /// so the driver can compute the groups cheaply before scheduling one
-  /// prefetch() per group. Empty when no remote tier is attached.
-  std::vector<std::vector<uint64_t>> prefetch_groups(
-      const std::string& kind, const std::vector<uint64_t>& digests);
-
-  /// Issue one BATCH_GET for `digests` (normally one prefetch_groups()
-  /// entry, i.e. the keys of a single shard) and land validated results
-  /// in the in-memory prefetch buffer, where the next load() of that key
-  /// consumes them without touching the network. Runs concurrently with
-  /// load()/store() on other threads; returns the number of blobs that
-  /// landed.
-  size_t prefetch(const std::string& kind, uint64_t format_hash,
-                  const std::vector<uint64_t>& digests);
-
   /// Write pending blobs and the index to disk, then enforce max_bytes by
-  /// LRU eviction. No-op in read-only mode.
+  /// LRU eviction.
   void flush();
 
   /// Delete every artifact and the index (fortdc -cache-clear).
@@ -206,9 +103,6 @@ public:
     uint64_t writes = 0;       // blobs flushed to disk
     uint64_t evictions = 0;    // blobs removed by LRU GC
     uint64_t corrupt = 0;      // envelope/codec validation failures
-    uint64_t remote_hits = 0;  // served by the remote tier (and promoted)
-    uint64_t prefetch_issued = 0;  // keys requested by wavefront prefetch
-    uint64_t prefetch_hits = 0;    // prefetched blobs that landed
   };
   Counters counters() const;
 
@@ -220,9 +114,9 @@ public:
   /// True iff `kind` is safe to embed in a blob path: non-empty, at most
   /// 64 chars, only [A-Za-z0-9_.-], and not "." or "..". Everything else
   /// — in particular anything containing '/' — is rejected before a path
-  /// is ever built from it, so a hostile peer of the cache daemon cannot
-  /// steer reads/writes/deletes outside the cache directory. Invalid
-  /// kinds read as misses and store as dropped writes.
+  /// is ever built from it, so no caller can steer reads/writes/deletes
+  /// outside the cache directory. Invalid kinds read as misses and store
+  /// as dropped writes.
   static bool valid_kind(const std::string& kind);
 
 private:
@@ -230,35 +124,21 @@ private:
     uint64_t size = 0;  // blob file size in bytes
     uint64_t tick = 0;  // LRU clock value of the last access
   };
-  struct PendingBlob {
-    std::vector<uint8_t> blob;  // enveloped bytes
-    bool from_remote = false;   // promotion — do not echo back over the wire
-  };
   using Key = std::pair<std::string, uint64_t>;  // (kind, digest)
 
   std::string blob_path(const std::string& kind, uint64_t digest) const;
   std::string index_path() const;
   void load_index_locked();
   void quarantine_locked(const std::string& kind, uint64_t digest);
-  /// Local tiers only (pending, then disk): the validated enveloped blob,
-  /// or nullopt. Counts hits/corruption but NOT misses (the caller may
-  /// still consult the remote tier).
+  /// Pending buffer, then disk: the validated enveloped blob, or nullopt.
+  /// Counts corruption but neither hits nor misses.
   std::optional<std::vector<uint8_t>> local_blob_locked(
       const std::string& kind, uint64_t format_hash, uint64_t digest);
-  void flush_locked(std::vector<std::pair<Key, std::vector<uint8_t>>>* to_put);
 
   mutable std::mutex mu_;
   CacheOptions options_;
-  StorageBackend* remote_ = nullptr;
   std::map<Key, Entry> index_;
-  std::map<Key, PendingBlob> pending_;
-  /// Enveloped blobs landed by prefetch(), consumed (and promoted into
-  /// pending_ unless read-only) by the next load() of their key. Kept
-  /// separate from pending_ so a read-only store never flushes them.
-  std::map<Key, std::vector<uint8_t>> prefetch_;
-  /// Keys a prefetch has already requested (hit or miss) — dedups
-  /// overlapping wavefront levels so a digest is asked for at most once.
-  std::set<Key> prefetch_requested_;
+  std::map<Key, std::vector<uint8_t>> pending_;  // enveloped blobs
   uint64_t next_tick_ = 1;
   Counters counters_;
   bool index_dirty_ = false;

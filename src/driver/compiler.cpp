@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "frontend/parser.hpp"
-#include "ipa/summaries.hpp"
 
 namespace fortd {
 
@@ -23,21 +22,8 @@ Compiler::Compiler(CodegenOptions options, IpaOptions ipa_options,
                    LintOptions lint_options, CacheOptions cache_options)
     : options_(options), ipa_options_(ipa_options),
       lint_options_(std::move(lint_options)) {
-  if (!cache_options.remote_endpoint.empty()) {
-    remote::RemoteOptions ropts;
-    ropts.timeout_ms = cache_options.remote_timeout_ms;
-    auto endpoints =
-        remote::split_endpoint_list(cache_options.remote_endpoint);
-    if (!endpoints.empty())
-      remote_store_ =
-          std::make_unique<remote::ShardedRemoteStore>(endpoints, ropts);
-    // An empty/unparseable endpoint list degrades to local-only,
-    // consistent with the remote tier's never-fail-the-compile contract
-    // (individual bad endpoints degrade as shards, inside the store).
-  }
-  if (!cache_options.dir.empty() || remote_store_) {
+  if (!cache_options.dir.empty()) {
     store_ = std::make_unique<ContentStore>(std::move(cache_options));
-    if (remote_store_) store_->attach_remote(remote_store_.get());
     cache_.attach_store(store_.get());
     summary_cache_.attach_store(store_.get());
   }
@@ -62,9 +48,6 @@ CompileResult Compiler::compile(SourceProgram ast) {
   const uint64_t misses0 = cache_.misses();
   const ContentStore::Counters disk0 =
       store_ ? store_->counters() : ContentStore::Counters{};
-  const remote::RemoteStore::Counters remote0 =
-      remote_store_ ? remote_store_->counters()
-                    : remote::RemoteStore::Counters{};
   CompileResult result;
 
   // Shared by the success path and the CompileError unwind: cache and
@@ -88,8 +71,6 @@ CompileResult Compiler::compile(SourceProgram ast) {
     // right after generate(), which a CompileError may have skipped).
     result.stats.sched_tasks += static_cast<long>(is.sched.executed);
     result.stats.sched_stolen += static_cast<long>(is.sched.stolen);
-    result.stats.sched_prefetch_tasks +=
-        static_cast<long>(is.sched.aux_executed);
     if (static_cast<int>(is.sched.ready_peak) > result.stats.sched_ready_peak)
       result.stats.sched_ready_peak = static_cast<int>(is.sched.ready_peak);
     result.stats.sched_idle_ipa_ms = is.sched.idle_ms;
@@ -101,25 +82,6 @@ CompileResult Compiler::compile(SourceProgram ast) {
       result.stats.disk_corrupt = static_cast<int>(d.corrupt - disk0.corrupt);
       result.stats.disk_evictions =
           static_cast<int>(d.evictions - disk0.evictions);
-      result.stats.remote_hits =
-          static_cast<int>(d.remote_hits - disk0.remote_hits);
-      result.stats.prefetch_issued =
-          static_cast<int>(d.prefetch_issued - disk0.prefetch_issued);
-      result.stats.prefetch_hits =
-          static_cast<int>(d.prefetch_hits - disk0.prefetch_hits);
-    }
-    if (remote_store_) {
-      const remote::RemoteStore::Counters r = remote_store_->counters();
-      result.stats.remote_puts = static_cast<int>(r.puts - remote0.puts);
-      result.stats.remote_errors = static_cast<int>(r.errors - remote0.errors);
-      result.stats.remote_retries =
-          static_cast<int>(r.retries - remote0.retries);
-      result.stats.remote_degraded = remote_store_->degraded();
-      result.stats.remote_shards =
-          static_cast<int>(remote_store_->shard_count());
-      int down = 0;
-      for (bool d : remote_store_->shard_degraded()) down += d ? 1 : 0;
-      result.stats.remote_shards_degraded = down;
     }
     stats_ = result.stats;
   };
@@ -130,7 +92,6 @@ CompileResult Compiler::compile(SourceProgram ast) {
     result.stats.bind_ms = ms_since(t);
 
     t = std::chrono::steady_clock::now();
-    prefetch_summaries(result.program);
     result.ipa = run_ipa(result.program, ipa_options_, pool(), &summary_cache_);
     result.stats.ipa_ms = ms_since(t);
 
@@ -161,7 +122,6 @@ CompileResult Compiler::compile(SourceProgram ast) {
     const TaskGraphStats& cg = generator.scheduler_stats();
     result.stats.sched_tasks = static_cast<long>(cg.executed);
     result.stats.sched_stolen = static_cast<long>(cg.stolen);
-    result.stats.sched_prefetch_tasks = static_cast<long>(cg.aux_executed);
     result.stats.sched_ready_peak = static_cast<int>(cg.ready_peak);
     result.stats.sched_critical_path = static_cast<int>(cg.critical_path);
     result.stats.sched_idle_codegen_ms = cg.idle_ms;
@@ -193,43 +153,7 @@ CompileResult Compiler::compile(SourceProgram ast) {
   return result;
 }
 
-void Compiler::prefetch_summaries(const BoundProgram& program) {
-  // Warm the summary tier in one BATCH_GET per shard before local
-  // analysis probes it procedure by procedure. The structural hashes are
-  // computable right after binding (no interprocedural inputs), so this
-  // replaces up to |procedures| synchronous remote round trips with
-  // |shards| batched ones.
-  if (!store_ || !store_->has_remote() || !store_->options().prefetch) return;
-  std::vector<uint64_t> hashes;
-  hashes.reserve(program.ast.procedures.size());
-  for (const auto& proc : program.ast.procedures)
-    hashes.push_back(hash_procedure(*proc));
-  auto groups = store_->prefetch_groups(kSummaryArtifactKind, hashes);
-  if (groups.empty()) return;
-  const uint64_t fh = summary_artifact_format_hash();
-  if (groups.size() > 1 && options_.jobs > 1) {
-    // Shards are independent daemons: fetch them concurrently.
-    pool()->parallel_for(groups.size(), [&](size_t i) {
-      store_->prefetch(kSummaryArtifactKind, fh, groups[i]);
-    });
-  } else {
-    for (const auto& g : groups)
-      store_->prefetch(kSummaryArtifactKind, fh, g);
-  }
-}
-
 std::string Compiler::cache_stats_json() const {
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (static_cast<unsigned char>(c) < 0x20)
-        out += ' ';
-      else
-        out += c;
-    }
-    return out;
-  };
   std::ostringstream out;
   out << "{\"memory\":{\"proc_hits\":" << cache_.hits()
       << ",\"proc_misses\":" << cache_.misses()
@@ -241,39 +165,13 @@ std::string Compiler::cache_stats_json() const {
     const ContentStore::Counters d = store_->counters();
     out << ",\"disk\":{\"hits\":" << d.hits << ",\"misses\":" << d.misses
         << ",\"writes\":" << d.writes << ",\"evictions\":" << d.evictions
-        << ",\"corrupt\":" << d.corrupt
-        << ",\"remote_hits\":" << d.remote_hits
-        << ",\"prefetch_issued\":" << d.prefetch_issued
-        << ",\"prefetch_hits\":" << d.prefetch_hits << "}";
-  }
-  if (remote_store_) {
-    const remote::RemoteStore::Counters r = remote_store_->counters();
-    out << ",\"remote\":{\"gets\":" << r.gets << ",\"hits\":" << r.hits
-        << ",\"puts\":" << r.puts << ",\"errors\":" << r.errors
-        << ",\"retries\":" << r.retries
-        << ",\"reconnects\":" << r.reconnects
-        << ",\"oversize\":" << r.oversize
-        << ",\"replica_hits\":" << r.replica_hits
-        << ",\"failovers\":" << r.failovers
-        << ",\"degraded\":" << (remote_store_->degraded() ? "true" : "false")
-        << ",\"degraded_reason\":\""
-        << escape(remote_store_->degraded_reason()) << "\""
-        << ",\"shards\":[";
-    const auto down = remote_store_->shard_degraded();
-    for (size_t i = 0; i < remote_store_->shard_count(); ++i) {
-      if (i) out << ",";
-      out << "{\"endpoint\":\""
-          << escape(remote_store_->shard_map().endpoint(i)) << "\""
-          << ",\"degraded\":" << (down[i] ? "true" : "false") << "}";
-    }
-    out << "]}";
+        << ",\"corrupt\":" << d.corrupt << "}";
   }
   // Unlike the cache tiers (cumulative), the scheduler section reports
   // the most recent compile(): per-compile graphs are what the counters
   // describe.
   out << ",\"scheduler\":{\"tasks\":" << stats_.sched_tasks
       << ",\"stolen\":" << stats_.sched_stolen
-      << ",\"prefetch_tasks\":" << stats_.sched_prefetch_tasks
       << ",\"ready_peak\":" << stats_.sched_ready_peak
       << ",\"critical_path\":" << stats_.sched_critical_path
       << ",\"idle_codegen_ms\":" << stats_.sched_idle_codegen_ms

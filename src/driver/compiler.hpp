@@ -12,7 +12,7 @@
 // persists across compile() calls: recompiling a program in which k
 // procedures changed re-runs code generation for only those k plus the
 // callers whose callee exports changed (the constructive form of §8's
-// recompilation tests). Set options.jobs > 1 for wavefront-parallel code
+// recompilation tests). Set options.jobs > 1 for parallel code
 // generation; output is byte-identical to the serial schedule.
 #pragma once
 
@@ -28,7 +28,6 @@
 #include "ipa/recompilation.hpp"
 #include "ipa/summary_cache.hpp"
 #include "machine/simulator.hpp"
-#include "remote/shard_map.hpp"
 #include "support/thread_pool.hpp"
 
 namespace fortd {
@@ -44,7 +43,7 @@ struct CompilerStats {
   int generated = 0;         // ran through ProcGen this compile
   int cache_hits = 0;        // procedures cloned from the cache
   int cache_misses = 0;
-  int wavefront_levels = 0;  // depth of the parallel schedule
+  int wavefront_levels = 0;  // call-graph depth (ACG wavefront levels)
   int jobs = 1;              // worker threads used
 
   // IPA phase counters (see IpaStats).
@@ -70,26 +69,10 @@ struct CompilerStats {
   int disk_corrupt = 0;    // quarantined truncated/bit-flipped/skewed blobs
   int disk_evictions = 0;  // blobs removed by LRU GC this compile
 
-  // Remote cache tier (zero unless CacheOptions.remote_endpoint is set):
-  // counter deltas for this compile().
-  int remote_hits = 0;     // artifacts served by the fleet (and promoted)
-  int remote_puts = 0;     // artifacts written through to the fleet
-  int remote_errors = 0;   // failed request attempts (timeouts, resets)
-  int remote_retries = 0;  // attempts beyond the first, per request
-  bool remote_degraded = false;  // EVERY shard's breaker open: local-only
-
-  // Sharded fleet + readiness-driven prefetch (PR 6/7).
-  int remote_shards = 0;           // endpoints in the -cache-remote list
-  int remote_shards_degraded = 0;  // shards whose breaker is open
-  int prefetch_issued = 0;         // keys requested ahead of their need
-  int prefetch_hits = 0;           // prefetched blobs that landed
-
-  // Work-stealing scheduler counters (zero under Scheduler::Wavefront or
-  // jobs == 1 inline runs of some passes): codegen + both IPA
-  // propagation passes summed, except the per-pass idle split.
+  // Work-stealing scheduler counters: codegen + the IPA propagation
+  // passes summed, except the per-pass idle split.
   long sched_tasks = 0;         // graph nodes executed
   long sched_stolen = 0;        // nodes taken from another worker's deque
-  long sched_prefetch_tasks = 0;  // auxiliary prefetch batches executed
   int sched_ready_peak = 0;     // ready-queue high-water mark (any pass)
   int sched_critical_path = 0;  // longest dependency chain (codegen graph)
   double sched_idle_codegen_ms = 0.0;  // worker wait time, codegen graph
@@ -141,18 +124,11 @@ public:
   const IpaSummaryCache& summary_cache() const { return summary_cache_; }
 
   /// The persistent compilation database, or nullptr when CacheOptions
-  /// left both the disk and remote tiers disabled.
+  /// left the disk tier disabled.
   ContentStore* content_store() { return store_.get(); }
   const ContentStore* content_store() const { return store_.get(); }
 
-  /// The remote cache tier — a one-or-many-shard fleet client — or
-  /// nullptr when CacheOptions left remote_endpoint empty.
-  remote::ShardedRemoteStore* remote_store() { return remote_store_.get(); }
-  const remote::ShardedRemoteStore* remote_store() const {
-    return remote_store_.get();
-  }
-
-  /// Cumulative cache counters of every tier — memory, disk, remote — as
+  /// Cumulative cache counters of every tier — memory and disk — as
   /// stable machine-readable JSON (fortdc -cache-stats-json).
   std::string cache_stats_json() const;
 
@@ -185,19 +161,11 @@ public:
   const LintReport& last_lint_report() const { return last_lint_; }
 
 private:
-  /// Warm the summary tier with one BATCH_GET per shard (structural
-  /// hashes are known right after binding). No-op without a remote tier
-  /// or with CacheOptions.prefetch off.
-  void prefetch_summaries(const BoundProgram& program);
-
   CodegenOptions options_;
   IpaOptions ipa_options_;
   LintOptions lint_options_;
   LintReport last_lint_;
-  // Declared before store_: ~ContentStore flushes pending writes through
-  // the remote tier, so the client must be destroyed after the store.
-  std::unique_ptr<remote::ShardedRemoteStore> remote_store_;
-  std::unique_ptr<ContentStore> store_;  // null when both tiers disabled
+  std::unique_ptr<ContentStore> store_;  // null without a cache dir
   CompilationCache cache_;
   IpaSummaryCache summary_cache_;
   std::unique_ptr<ThreadPool> pool_;

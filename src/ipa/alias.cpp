@@ -189,53 +189,16 @@ std::set<AliasPair> pull_alias(const BoundProgram& program,
   return out;
 }
 
-namespace {
-
-/// Depth-leveled baseline: top-down wavefronts (caller-before-callee
-/// levels), each level's procedures pulling independently and publishing
-/// at the level barrier in level order.
-AliasMap compute_alias_map_wavefront(const BoundProgram& program,
-                                     const AugmentedCallGraph& acg,
-                                     ThreadPool* pool) {
-  AliasMap am;
-  const auto& procs = program.ast.procedures;
-  for (const std::vector<int>& level : acg.top_down_levels()) {
-    std::vector<std::set<AliasPair>> slots(level.size());
-    auto one = [&](size_t k) {
-      const std::string& name =
-          procs[static_cast<size_t>(level[k])]->name;
-      slots[k] = pull_alias(program, acg, am, name);
-    };
-    if (pool && level.size() > 1) {
-      pool->parallel_for(level.size(), one);
-    } else {
-      for (size_t k = 0; k < level.size(); ++k) one(k);
-    }
-    for (size_t k = 0; k < level.size(); ++k) {
-      const std::string& name =
-          procs[static_cast<size_t>(level[k])]->name;
-      if (!slots[k].empty()) am.pairs[name] = std::move(slots[k]);
-    }
-  }
-  return am;
-}
-
-}  // namespace
-
 AliasMap compute_alias_map(const BoundProgram& program,
                            const AugmentedCallGraph& acg, ThreadPool* pool,
-                           Scheduler scheduler,
                            TaskGraphStats* sched_stats) {
-  if (scheduler == Scheduler::Wavefront)
-    return compute_alias_map_wavefront(program, acg, pool);
-
   // Barrier-free schedule: one node per procedure in topological order
   // (callers precede callees), each node depending on its callers, the
   // same shape as the ReachingDecomps work-stealing pass. Entries are
   // pre-sized so tasks assign mapped values in place without mutating map
   // structure; caller reads in pull_alias are ordered after the caller's
   // write by the dependency edge. Empty entries are erased afterwards so
-  // the map is canonical (same entry-presence as wavefront/serial).
+  // the map is canonical: only procedures with pairs have an entry.
   const auto& procs = program.ast.procedures;
   const std::vector<int>& order = acg.topological_indices();
   std::vector<size_t> node_of(procs.size(), 0);

@@ -14,7 +14,7 @@
 // first — the same top-down direction as ReachingDecomps).
 //
 // The result is schedule-invariant: per-procedure entries are canonical
-// std::set unions of per-site contributions, so serial, wavefront, and
+// std::set unions of per-site contributions, so serial and parallel
 // work-stealing runs produce byte-identical maps. Entries fold into the
 // §8 recompilation digests (hash_codegen_inputs) and feed procedure
 // cloning, side-effect widening, and the `fortd-alias-hazard` checker.
@@ -81,15 +81,13 @@ std::set<AliasPair> pull_alias(const BoundProgram& program,
                                const AugmentedCallGraph& acg,
                                const AliasMap& am, const std::string& name);
 
-/// Compute the full may-alias map top-down over the ACG. `scheduler`
-/// selects depth-leveled wavefronts or the barrier-free work-stealing
-/// TaskGraph (nodes depend on their callers); both produce entries
-/// byte-identical to a serial run. `sched_stats`, when non-null,
-/// accumulates the work-stealing run's counters.
+/// Compute the full may-alias map top-down over the ACG on the
+/// barrier-free work-stealing TaskGraph (nodes depend on their callers);
+/// entries are byte-identical to a serial run. `sched_stats`, when
+/// non-null, accumulates the run's counters.
 AliasMap compute_alias_map(const BoundProgram& program,
                            const AugmentedCallGraph& acg,
                            ThreadPool* pool = nullptr,
-                           Scheduler scheduler = Scheduler::WorkStealing,
                            TaskGraphStats* sched_stats = nullptr);
 
 }  // namespace fortd

@@ -168,28 +168,6 @@ std::vector<std::vector<int>> AugmentedCallGraph::wavefront_levels() const {
   return out;
 }
 
-std::vector<std::vector<int>> AugmentedCallGraph::top_down_levels() const {
-  // Dual of wavefront_levels(): level(P) = 1 + max(level(caller)); roots
-  // (procedures without callers — the main program) sit at level 0.
-  // Walking the forward topological order guarantees every caller's level
-  // is final before its callees are placed.
-  std::map<std::string, int> level;
-  int max_level = -1;
-  for (const auto& name : topo_) {
-    int lvl = 0;
-    auto sit = sites_to_.find(name);
-    if (sit != sites_to_.end())
-      for (int id : sit->second)
-        lvl = std::max(lvl, level.at(sites_[static_cast<size_t>(id)].caller) + 1);
-    level[name] = lvl;
-    max_level = std::max(max_level, lvl);
-  }
-  std::vector<std::vector<int>> out(static_cast<size_t>(max_level + 1));
-  for (const auto& name : topo_)
-    out[static_cast<size_t>(level.at(name))].push_back(index_of_.at(name));
-  return out;
-}
-
 bool AugmentedCallGraph::has_procedure(const std::string& name) const {
   return index_of_.count(name) > 0;
 }

@@ -66,20 +66,11 @@ public:
 
   /// Wavefront partition of the reverse topological order: level 0 holds
   /// the leaves, and every procedure sits one level above its deepest
-  /// callee, so all of a level's callees are fully generated before the
-  /// level starts. Procedures within a level are mutually independent and
+  /// callee. Procedures within a level are mutually independent and
   /// listed in reverse topological order (deterministic). Concatenating
-  /// the levels yields a valid reverse topological order.
+  /// the levels yields a valid reverse topological order. The level count
+  /// is the call graph's depth (fortdc -timings reports it).
   std::vector<std::vector<int>> wavefront_levels() const;
-
-  /// Dual partition for top-down phases (reaching-decomposition
-  /// propagation): level 0 holds the roots (procedures with no callers),
-  /// and every procedure sits one level below its deepest caller, so all
-  /// of a level's callers are fully processed before the level starts.
-  /// Procedures within a level are listed in topological order
-  /// (deterministic); concatenating the levels yields a valid topological
-  /// order.
-  std::vector<std::vector<int>> top_down_levels() const;
 
   bool has_procedure(const std::string& name) const;
 

@@ -157,8 +157,7 @@ IpaContext run_ipa(BoundProgram& program, const IpaOptions& options,
     // full recompute per round is cheap; the previous round's map is kept
     // to seed the incremental side-effect dirty set below.
     AliasMap prev_alias = std::move(ctx.alias);
-    ctx.alias = compute_alias_map(program, ctx.acg, pool, options.scheduler,
-                                  &ctx.stats.sched);
+    ctx.alias = compute_alias_map(program, ctx.acg, pool, &ctx.stats.sched);
 
     if (!have_delta || !options.incremental) {
       ctx.summaries =
@@ -167,12 +166,10 @@ IpaContext run_ipa(BoundProgram& program, const IpaOptions& options,
       for (const auto& proc : program.ast.procedures) all.insert(proc->name);
       ctx.effects = SideEffects{};
       update_side_effects(program, ctx.acg, ctx.summaries, all, ctx.effects,
-                          pool, options.scheduler, &ctx.stats.sched,
-                          &ctx.alias);
+                          pool, &ctx.stats.sched, &ctx.alias);
       ctx.reaching = ReachingDecomps{};
       update_reaching_decomps(program, ctx.acg, ctx.summaries, all,
-                              ctx.reaching, pool, options.scheduler,
-                              &ctx.stats.sched);
+                              ctx.reaching, pool, &ctx.stats.sched);
     } else {
       ++ctx.stats.rounds_incremental;
       // Summaries: only bodies of new clones and retargeted callers
@@ -211,8 +208,7 @@ IpaContext run_ipa(BoundProgram& program, const IpaOptions& options,
       }
       ctx.stats.effects_reused += n - static_cast<int>(dirty_fx.size());
       update_side_effects(program, ctx.acg, ctx.summaries, dirty_fx,
-                          ctx.effects, pool, options.scheduler,
-                          &ctx.stats.sched, &ctx.alias);
+                          ctx.effects, pool, &ctx.stats.sched, &ctx.alias);
 
       // Reaching flows top-down: seed with the text-changed procedures
       // plus originals that lost sites to a clone (the retargeted edge is
@@ -226,7 +222,7 @@ IpaContext run_ipa(BoundProgram& program, const IpaOptions& options,
       ctx.stats.reaching_reused +=
           n - update_reaching_decomps(program, ctx.acg, ctx.summaries,
                                       dirty_rd, ctx.reaching, pool,
-                                      options.scheduler, &ctx.stats.sched);
+                                      &ctx.stats.sched);
     }
     ctx.stats.summaries_computed += sum_stats.computed;
     ctx.stats.summaries_cached += sum_stats.cached;

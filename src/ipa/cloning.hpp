@@ -29,10 +29,6 @@ struct IpaOptions {
   /// all of IPA. Results are identical either way; set to false to force
   /// full recomputation every round (tests compare the two).
   bool incremental = true;
-  /// Schedule for the parallel propagation passes (side effects,
-  /// reaching decomps): barrier-free work-stealing (default) or the
-  /// depth-leveled wavefront baseline. Results are identical either way.
-  Scheduler scheduler = Scheduler::WorkStealing;
 };
 
 /// What one cloning pass changed — the seed of the incremental dirty sets.
@@ -56,8 +52,8 @@ struct IpaStats {
   int summaries_reused = 0;    // carried over unchanged between rounds
   int effects_reused = 0;      // side-effect entries carried over
   int reaching_reused = 0;     // reaching entries carried over
-  /// Work-stealing scheduler counters summed over both propagation
-  /// passes and every cloning round (zero under Scheduler::Wavefront).
+  /// Work-stealing scheduler counters summed over the propagation
+  /// passes and every cloning round.
   TaskGraphStats sched;
 };
 
@@ -91,7 +87,7 @@ class IpaSummaryCache;
 
 /// Build the full interprocedural context: ACG + summaries + side effects
 /// + reaching decompositions, iterating cloning to a fixed point. With a
-/// `pool`, each phase runs wavefront-parallel over the ACG levels (output
+/// `pool`, each phase runs in parallel over the ACG (output
 /// byte-identical to serial); with a `summary_cache`, unchanged
 /// procedures skip local analysis across run_ipa calls.
 IpaContext run_ipa(BoundProgram& program, const IpaOptions& options = {},

@@ -84,87 +84,13 @@ std::map<std::string, std::set<DecompSpec>> pull_reaching(
   return target;
 }
 
-namespace {
-
-/// The depth-leveled baseline (PR 2), kept behind Scheduler::Wavefront.
-/// Top-down wavefronts (caller-before-callee levels): a level's callers
-/// were all published by earlier levels, so the level's pending
-/// procedures pull independently. Slots are published at the level
-/// barrier in level order — identical maps for every schedule.
-int update_reaching_decomps_wavefront(
-    const BoundProgram& program, const AugmentedCallGraph& acg,
-    const std::set<std::string>& dirty, ReachingDecomps& rd,
-    ThreadPool* pool) {
-  const auto& procs = program.ast.procedures;
-  struct Slot {
-    std::map<std::string, std::set<DecompSpec>> reaching;
-    std::map<const Stmt*, std::map<std::string, std::set<DecompSpec>>> at_stmt;
-    bool reused = false;  // pulled set equals the stored entry; no publish
-  };
-  std::set<std::string> recomputed;
-  for (const std::vector<int>& level : acg.top_down_levels()) {
-    // Pending: seed-dirty procedures, plus callees of anything recomputed
-    // at an earlier level (their pulled input may have changed).
-    std::vector<int> pending;
-    for (int idx : level) {
-      const std::string& name = procs[static_cast<size_t>(idx)]->name;
-      bool candidate = dirty.count(name) > 0;
-      if (!candidate)
-        for (const CallSiteInfo* site : acg.calls_to(name))
-          if (recomputed.count(site->caller)) {
-            candidate = true;
-            break;
-          }
-      if (candidate) pending.push_back(idx);
-    }
-    if (pending.empty()) continue;
-    std::vector<Slot> slots(pending.size());
-    auto one = [&](size_t k) {
-      const Procedure& proc = *procs[static_cast<size_t>(pending[k])];
-      slots[k].reaching = pull_reaching(program, acg, rd, proc.name);
-      // Change cutoff: text unchanged + identical pulled input ⇒ the
-      // stored Reaching/at_stmt entries are still the fixed point.
-      if (!dirty.count(proc.name)) {
-        auto it = rd.reaching.find(proc.name);
-        if (it != rd.reaching.end() && it->second == slots[k].reaching) {
-          slots[k].reused = true;
-          return;
-        }
-      }
-      // Resolve LocalReaching point-wise with ⊤ expanded (the "replace
-      // <top,X> with <D,X> from Reaching(P)" step of Fig. 6).
-      slots[k].at_stmt =
-          compute_local_reaching(program, proc, slots[k].reaching);
-    };
-    if (pool && pending.size() > 1) {
-      pool->parallel_for(pending.size(), one);
-    } else {
-      for (size_t k = 0; k < pending.size(); ++k) one(k);
-    }
-    for (size_t k = 0; k < pending.size(); ++k) {
-      if (slots[k].reused) continue;
-      const std::string& name = procs[static_cast<size_t>(pending[k])]->name;
-      rd.reaching[name] = std::move(slots[k].reaching);
-      rd.at_stmt[name] = std::move(slots[k].at_stmt);
-      recomputed.insert(name);
-    }
-  }
-  return static_cast<int>(recomputed.size());
-}
-
-}  // namespace
-
 int update_reaching_decomps(const BoundProgram& program,
                             const AugmentedCallGraph& acg,
                             const std::map<std::string, ProcSummary>& summaries,
                             const std::set<std::string>& dirty,
                             ReachingDecomps& rd, ThreadPool* pool,
-                            Scheduler scheduler,
                             TaskGraphStats* sched_stats) {
   (void)summaries;
-  if (scheduler == Scheduler::Wavefront)
-    return update_reaching_decomps_wavefront(program, acg, dirty, rd, pool);
-
   // Barrier-free, dual edge direction to the bottom-up passes: one node
   // per procedure in topological order (callers precede callees), each
   // node depending on its *callers* — a procedure re-pulls the moment
@@ -177,12 +103,12 @@ int update_reaching_decomps(const BoundProgram& program,
   // by the dependency edge. Whether a node is a candidate (dirty, or a
   // caller actually republished) and whether it hits the change cutoff
   // are pure functions of its callers' outcomes, so the candidate and
-  // recomputed sets — and therefore the final maps — match the
-  // wavefront and serial schedules exactly. Pre-sized entries of nodes
-  // that never published and had no prior entry are erased afterwards:
-  // §8 recompilation hashes are sensitive to entry *presence*
-  // (hash_recompilation mixes Reaching(P) only when the entry exists),
-  // so a lingering empty entry would perturb digests.
+  // recomputed sets — and therefore the final maps — match the serial
+  // schedule exactly. Pre-sized entries of nodes that never published
+  // and had no prior entry are erased afterwards: §8 recompilation
+  // hashes are sensitive to entry *presence* (hash_recompilation mixes
+  // Reaching(P) only when the entry exists), so a lingering empty entry
+  // would perturb digests.
   const auto& procs = program.ast.procedures;
   const std::vector<int>& order = acg.topological_indices();
   std::vector<size_t> node_of(procs.size(), 0);
@@ -251,12 +177,11 @@ int update_reaching_decomps(const BoundProgram& program,
 
 ReachingDecomps compute_reaching_decomps(
     const BoundProgram& program, const AugmentedCallGraph& acg,
-    const std::map<std::string, ProcSummary>& summaries, ThreadPool* pool,
-    Scheduler scheduler) {
+    const std::map<std::string, ProcSummary>& summaries, ThreadPool* pool) {
   ReachingDecomps rd;
   std::set<std::string> all;
   for (const auto& proc : program.ast.procedures) all.insert(proc->name);
-  update_reaching_decomps(program, acg, summaries, all, rd, pool, scheduler);
+  update_reaching_decomps(program, acg, summaries, all, rd, pool);
   return rd;
 }
 

@@ -58,9 +58,8 @@ std::map<std::string, std::set<DecompSpec>> pull_reaching(
 
 /// Recompute Reaching and at_stmt top-down over the caller-before-callee
 /// dependency order (pending procedures run concurrently on `pool` when
-/// given — work-stealing by default, depth levels with barriers under
-/// Scheduler::Wavefront; identical maps either way), reusing everything
-/// else already in `rd`.
+/// given, work-stealing; identical maps for every jobs count), reusing
+/// everything else already in `rd`.
 ///
 /// `dirty` seeds the procedures whose *text* changed (they are always
 /// recomputed). Caller changes propagate with a change cutoff: a callee of
@@ -74,13 +73,11 @@ int update_reaching_decomps(const BoundProgram& program,
                             const std::map<std::string, ProcSummary>& summaries,
                             const std::set<std::string>& dirty,
                             ReachingDecomps& rd, ThreadPool* pool = nullptr,
-                            Scheduler scheduler = Scheduler::WorkStealing,
                             TaskGraphStats* sched_stats = nullptr);
 
 ReachingDecomps compute_reaching_decomps(
     const BoundProgram& program, const AugmentedCallGraph& acg,
     const std::map<std::string, ProcSummary>& summaries,
-    ThreadPool* pool = nullptr,
-    Scheduler scheduler = Scheduler::WorkStealing);
+    ThreadPool* pool = nullptr);
 
 }  // namespace fortd

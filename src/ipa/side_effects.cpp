@@ -50,8 +50,8 @@ ProcEffects compute_proc_effects(
   out.defs = sum.defs;
   out.uses = sum.uses;
 
-  // Callee lookups are const (find, not operator[]): in the wavefront
-  // schedule several procedures of one level read `fx` concurrently.
+  // Callee lookups are const (find, not operator[]): concurrent tasks
+  // read `fx` while others publish their own entries.
   auto names_of = [](const std::map<std::string, std::set<std::string>>& m,
                      const std::string& k) -> const std::set<std::string>* {
     auto it = m.find(k);
@@ -137,59 +137,12 @@ ProcEffects compute_proc_effects(
   return out;
 }
 
-namespace {
-
-/// The depth-leveled baseline (PR 2): a level's callees were all
-/// published by earlier levels, so the level's dirty procedures are
-/// independent. Results go into slots and are published at the level
-/// barrier in level order. Kept behind Scheduler::Wavefront as the
-/// measurable barrier baseline and the parity reference.
-void update_side_effects_wavefront(
-    const BoundProgram& program, const AugmentedCallGraph& acg,
-    const std::map<std::string, ProcSummary>& summaries,
-    const std::set<std::string>& dirty, SideEffects& fx, ThreadPool* pool,
-    const AliasMap* aliases) {
-  const auto& procs = program.ast.procedures;
-  for (const std::vector<int>& level : acg.wavefront_levels()) {
-    std::vector<int> pending;
-    for (int idx : level)
-      if (dirty.count(procs[static_cast<size_t>(idx)]->name))
-        pending.push_back(idx);
-    if (pending.empty()) continue;
-    std::vector<ProcEffects> slots(pending.size());
-    auto one = [&](size_t k) {
-      slots[k] = compute_proc_effects(
-          program, acg, summaries, fx,
-          procs[static_cast<size_t>(pending[k])]->name, aliases);
-    };
-    if (pool && pending.size() > 1) {
-      pool->parallel_for(pending.size(), one);
-    } else {
-      for (size_t k = 0; k < pending.size(); ++k) one(k);
-    }
-    for (size_t k = 0; k < pending.size(); ++k) {
-      const std::string& name = procs[static_cast<size_t>(pending[k])]->name;
-      fx.gmod[name] = std::move(slots[k].mod);
-      fx.gref[name] = std::move(slots[k].ref);
-      fx.gdefs[name] = std::move(slots[k].defs);
-      fx.guses[name] = std::move(slots[k].uses);
-    }
-  }
-}
-
-}  // namespace
-
 void update_side_effects(const BoundProgram& program,
                          const AugmentedCallGraph& acg,
                          const std::map<std::string, ProcSummary>& summaries,
                          const std::set<std::string>& dirty, SideEffects& fx,
-                         ThreadPool* pool, Scheduler scheduler,
-                         TaskGraphStats* sched_stats, const AliasMap* aliases) {
-  if (scheduler == Scheduler::Wavefront) {
-    update_side_effects_wavefront(program, acg, summaries, dirty, fx, pool,
-                                  aliases);
-    return;
-  }
+                         ThreadPool* pool, TaskGraphStats* sched_stats,
+                         const AliasMap* aliases) {
   // Barrier-free: one graph node per procedure in reverse topological
   // order (a valid topological order of the callee→caller dependency
   // edges), each dirty node recomputing its entries the moment its own
@@ -239,12 +192,12 @@ void update_side_effects(const BoundProgram& program,
 SideEffects compute_side_effects(
     const BoundProgram& program, const AugmentedCallGraph& acg,
     const std::map<std::string, ProcSummary>& summaries, ThreadPool* pool,
-    Scheduler scheduler, const AliasMap* aliases) {
+    const AliasMap* aliases) {
   SideEffects fx;
   std::set<std::string> all;
   for (const auto& proc : program.ast.procedures) all.insert(proc->name);
-  update_side_effects(program, acg, summaries, all, fx, pool, scheduler,
-                      nullptr, aliases);
+  update_side_effects(program, acg, summaries, all, fx, pool, nullptr,
+                      aliases);
   return fx;
 }
 

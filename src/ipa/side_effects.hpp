@@ -62,8 +62,7 @@ ProcEffects compute_proc_effects(const BoundProgram& program,
 
 /// Recompute the entries of every procedure in `dirty` bottom-up over the
 /// ACG (callee-before-caller dependency order; dirty procedures run
-/// concurrently on `pool` when given — work-stealing by default, depth
-/// levels with barriers under Scheduler::Wavefront), reusing all other
+/// concurrently on `pool` when given, work-stealing), reusing all other
 /// entries already in `fx`. `dirty` must be closed upward: a procedure
 /// whose callee is dirty must itself be dirty. Resulting maps are
 /// identical for every schedule and jobs count. `sched_stats`, when
@@ -73,7 +72,6 @@ void update_side_effects(const BoundProgram& program,
                          const std::map<std::string, ProcSummary>& summaries,
                          const std::set<std::string>& dirty, SideEffects& fx,
                          ThreadPool* pool = nullptr,
-                         Scheduler scheduler = Scheduler::WorkStealing,
                          TaskGraphStats* sched_stats = nullptr,
                          const AliasMap* aliases = nullptr);
 
@@ -81,7 +79,6 @@ SideEffects compute_side_effects(const BoundProgram& program,
                                  const AugmentedCallGraph& acg,
                                  const std::map<std::string, ProcSummary>& summaries,
                                  ThreadPool* pool = nullptr,
-                                 Scheduler scheduler = Scheduler::WorkStealing,
                                  const AliasMap* aliases = nullptr);
 
 }  // namespace fortd

@@ -1,6 +1,7 @@
 #include "ipa/summaries.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 
 #include "analysis/dataflow.hpp"
@@ -242,7 +243,7 @@ void fnv_str(uint64_t& h, const std::string& s) {
 void hash_expr(uint64_t& h, const Expr& e) {
   fnv(h, static_cast<uint64_t>(e.kind) + 17);
   fnv(h, static_cast<uint64_t>(e.int_val));
-  fnv(h, static_cast<uint64_t>(e.real_val * 4096.0));
+  fnv(h, std::bit_cast<uint64_t>(e.real_val));  // exact: no two literals collide
   fnv_str(h, e.name);
   fnv(h, static_cast<uint64_t>(e.bin_op));
   fnv(h, static_cast<uint64_t>(e.un_op));

@@ -1,6 +1,7 @@
 #include "ir/symbol_table.hpp"
 
 #include <algorithm>
+#include <set>
 
 namespace fortd {
 
@@ -88,9 +89,63 @@ std::optional<int64_t> try_eval_int(
   }
 }
 
+namespace {
+
+/// The first node of array bound `e` that keeps it from being an F77
+/// adjustable bound — built from integer literals, PARAMETER constants
+/// (`env`), the names in `vars` (a subroutine's formals and COMMON
+/// variables), arithmetic, and the min/max/mod intrinsics — or nullptr
+/// when it is one.
+const Expr* non_adjustable(const Expr& e,
+                           const std::unordered_map<std::string, int64_t>& env,
+                           const std::set<std::string>& vars) {
+  switch (e.kind) {
+    case ExprKind::IntLit:
+      return nullptr;
+    case ExprKind::VarRef:
+      return env.count(e.name) || vars.count(e.name) ? nullptr : &e;
+    case ExprKind::FuncCall:
+      if (e.name != "min" && e.name != "max" && e.name != "mod") return &e;
+      [[fallthrough]];
+    case ExprKind::Binary:
+    case ExprKind::Unary:
+      for (const auto& a : e.args)
+        if (const Expr* bad = non_adjustable(*a, env, vars)) return bad;
+      return nullptr;
+    default:
+      return &e;
+  }
+}
+
+}  // namespace
+
 SymbolTable build_symbol_table(const Procedure& proc, DiagnosticEngine& diags) {
   SymbolTable table;
   std::unordered_map<std::string, int64_t> env;
+
+  // A subroutine may bound its arrays by formals and COMMON variables
+  // (adjustable arrays); a main program only by constants.
+  std::set<std::string> bound_vars;
+  if (!proc.is_program) {
+    bound_vars.insert(proc.formals.begin(), proc.formals.end());
+    for (const auto& blk : proc.commons)
+      bound_vars.insert(blk.vars.begin(), blk.vars.end());
+  }
+  // Reject a bound the binder cannot evaluate now and codegen could not
+  // evaluate later either.
+  auto check_bound = [&](const VarDecl& decl, size_t d, const Expr& bound) {
+    const Expr* bad = non_adjustable(bound, env, bound_vars);
+    if (!bad && proc.is_program) bad = &bound;  // e.g. a division by zero
+    if (!bad) return;
+    std::string why = bad->kind == ExprKind::VarRef
+                          ? "'" + bad->name + "' is not a PARAMETER constant"
+                          : "it is not a compile-time constant";
+    if (!proc.is_program && bad->kind == ExprKind::VarRef)
+      why += ", a formal, or a COMMON variable";
+    diags.error(bad->loc.valid() ? bad->loc : decl.loc,
+                "bound of array '" + decl.name + "' in dimension " +
+                    std::to_string(d + 1) + " of '" + proc.name + "': " + why);
+  };
 
   // PARAMETER constants first: they may appear in later bounds.
   for (const auto& pc : proc.params) {
@@ -114,22 +169,27 @@ SymbolTable build_symbol_table(const Procedure& proc, DiagnosticEngine& diags) {
     sym.kind = decl.is_decomposition ? SymbolKind::Decomposition
                : decl.dims.empty()   ? SymbolKind::Scalar
                                      : SymbolKind::Array;
-    for (const auto& dim : decl.dims) {
+    for (size_t d = 0; d < decl.dims.size(); ++d) {
+      const ArrayDim& dim = decl.dims[d];
       int64_t lb = 1;
       bool ok = true;
       if (dim.lb) {
         auto v = try_eval_int(*dim.lb, env);
-        if (v)
+        if (v) {
           lb = *v;
-        else
+        } else {
+          check_bound(decl, d, *dim.lb);
           ok = false;
+        }
       }
       int64_t ub = -1;
       auto v = try_eval_int(*dim.ub, env);
-      if (v)
+      if (v) {
         ub = *v;
-      else
+      } else {
+        check_bound(decl, d, *dim.ub);
         ok = false;
+      }
       if (!ok) {
         sym.dims_const = false;
         sym.dims.emplace_back(1, -1);

@@ -1,4 +1,4 @@
-// Length-prefixed frame codec for the remote cache protocol.
+// Length-prefixed frame codec for the compile-service protocol.
 //
 // A frame is a LEB128 varint byte length followed by that many payload
 // bytes; the payload itself is a BinaryWriter-encoded protocol message

@@ -8,6 +8,15 @@
 
 namespace fortd::net {
 
+namespace {
+
+/// The ServerLoop whose serve_loop() runs on this thread, if any. send()
+/// asks this rather than thread_: start() assigns thread_ while the loop
+/// thread is already running, so reading it there would race.
+thread_local const ServerLoop* tl_serving_loop = nullptr;
+
+}  // namespace
+
 ServerLoop::~ServerLoop() { stop(); }
 
 bool ServerLoop::start(const Options& options, std::string* err) {
@@ -26,7 +35,10 @@ bool ServerLoop::start(const Options& options, std::string* err) {
   wake_wr_ = pipefd[1];
   stopping_.store(false);
   running_.store(true);
-  thread_ = std::thread([this] { serve_loop(); });
+  thread_ = std::thread([this] {
+    tl_serving_loop = this;
+    serve_loop();
+  });
   return true;
 }
 
@@ -48,8 +60,7 @@ void ServerLoop::stop() {
 bool ServerLoop::send(ConnId conn, std::vector<uint8_t> payload) {
   std::vector<uint8_t> framed;
   if (!encode_frame(framed, payload)) return false;
-  bool on_loop_thread =
-      thread_.joinable() && std::this_thread::get_id() == thread_.get_id();
+  const bool on_loop_thread = tl_serving_loop == this;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (std::find(live_.begin(), live_.end(), conn) == live_.end()) {

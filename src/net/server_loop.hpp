@@ -1,6 +1,6 @@
-// Reusable single-threaded poll()-loop server skeleton — the
-// accept/FrameDecoder/output-buffer connection plumbing shared by the
-// remote-cache daemon (fortd-cached) and the compile service (fortdd).
+// Single-threaded poll()-loop server skeleton — the
+// accept/FrameDecoder/output-buffer connection plumbing of the compile
+// service (fortdd).
 //
 // One service thread polls the listening socket, every live connection,
 // and a self-wake pipe. Readable sockets drain into per-connection

@@ -1,5 +1,5 @@
-// Minimal POSIX TCP wrapper for the remote compilation-cache tier
-// (remote/client.hpp, remote/server.hpp).
+// Minimal POSIX TCP wrapper for the compile service and its client
+// (service/compile_service.hpp, service/client.hpp).
 //
 // Everything is deadline-driven: send_all/recv_some take a millisecond
 // budget and poll() inside it, so a stalled peer surfaces as

@@ -20,43 +20,10 @@ std::vector<uint8_t> encode_message(const WireMessage& m) {
       w.u64(m.format_hash);
       break;
     case MsgType::HelloOk:
-    case MsgType::GetMiss:
-    case MsgType::PutOk:
-    case MsgType::Stats:
       break;
     case MsgType::HelloReject:
-    case MsgType::PutDenied:
-    case MsgType::StatsOk:
     case MsgType::Error:
       w.str(m.text);
-      break;
-    case MsgType::Get:
-      w.str(m.kind);
-      w.u64(m.format_hash);
-      w.u64(m.digest);
-      break;
-    case MsgType::GetOk:
-      w.blob(m.blob);
-      break;
-    case MsgType::Put:
-      w.str(m.kind);
-      w.u64(m.digest);
-      w.blob(m.blob);
-      break;
-    case MsgType::BatchGet:
-      w.u64(m.format_hash);
-      w.count(m.keys.size());
-      for (const auto& [kind, digest] : m.keys) {
-        w.str(kind);
-        w.u64(digest);
-      }
-      break;
-    case MsgType::BatchGetOk:
-      w.count(m.blobs.size());
-      for (const auto& [found, blob] : m.blobs) {
-        w.boolean(found);
-        w.blob(blob);
-      }
       break;
     case MsgType::Compile:
       w.str(m.text);
@@ -94,9 +61,11 @@ std::optional<WireMessage> decode_message(const std::vector<uint8_t>& frame) {
   BinaryReader r(frame);
   WireMessage m;
   const uint8_t type = r.u8();
-  if (type < static_cast<uint8_t>(MsgType::Hello) ||
-      type > static_cast<uint8_t>(MsgType::MetricsOk))
-    return std::nullopt;
+  const bool handshake = type >= static_cast<uint8_t>(MsgType::Hello) &&
+                         type <= static_cast<uint8_t>(MsgType::HelloReject);
+  const bool service = type >= static_cast<uint8_t>(MsgType::Error) &&
+                       type <= static_cast<uint8_t>(MsgType::MetricsOk);
+  if (!handshake && !service) return std::nullopt;
   m.type = static_cast<MsgType>(type);
   m.request_id = r.u64();
   switch (m.type) {
@@ -104,50 +73,11 @@ std::optional<WireMessage> decode_message(const std::vector<uint8_t>& frame) {
       m.format_hash = r.u64();
       break;
     case MsgType::HelloOk:
-    case MsgType::GetMiss:
-    case MsgType::PutOk:
-    case MsgType::Stats:
       break;
     case MsgType::HelloReject:
-    case MsgType::PutDenied:
-    case MsgType::StatsOk:
     case MsgType::Error:
       m.text = r.str();
       break;
-    case MsgType::Get:
-      m.kind = r.str();
-      m.format_hash = r.u64();
-      m.digest = r.u64();
-      break;
-    case MsgType::GetOk:
-      m.blob = r.blob();
-      break;
-    case MsgType::Put:
-      m.kind = r.str();
-      m.digest = r.u64();
-      m.blob = r.blob();
-      break;
-    case MsgType::BatchGet: {
-      m.format_hash = r.u64();
-      const size_t n = r.count();
-      m.keys.reserve(n);
-      for (size_t i = 0; i < n && r.ok(); ++i) {
-        std::string kind = r.str();
-        uint64_t digest = r.u64();
-        m.keys.emplace_back(std::move(kind), digest);
-      }
-      break;
-    }
-    case MsgType::BatchGetOk: {
-      const size_t n = r.count();
-      m.blobs.reserve(n);
-      for (size_t i = 0; i < n && r.ok(); ++i) {
-        bool found = r.boolean();
-        std::vector<uint8_t> blob = r.blob();
-        m.blobs.emplace_back(found, std::move(blob));
-      }
-      break;
-    }
     case MsgType::Compile:
       m.text = r.str();
       m.copts.n_procs = static_cast<uint32_t>(r.u64());

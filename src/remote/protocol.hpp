@@ -1,4 +1,4 @@
-// Wire protocol for the remote compilation-cache service (fortd-cached).
+// Wire protocol of the compile service (fortdd, fortdc -server).
 //
 // Every message travels as one frame (net/frame.hpp) whose payload is a
 // BinaryWriter encoding: a one-byte message type, a request-id varint,
@@ -7,28 +7,16 @@
 // plus every serialization and compression format version involved — and
 // the daemon answers HELLO_OK only on an exact match. Version skew
 // between a compiler and a long-running daemon is therefore detected at
-// the handshake, before any artifact bytes move, and the client degrades
-// to local-only operation.
+// the handshake, before any request moves, and the client degrades to a
+// local compile.
 //
 // The request id tags every request a client sends and is echoed
-// verbatim in the reply, so several requests may be in flight on one
-// connection at once (pipelining): concurrent compiler workers multiplex
-// the persistent connection instead of head-of-line blocking behind one
-// slow reply, and a reply that arrives after its request's deadline
-// passed is simply discarded by id — a timeout no longer forces the
-// connection down.
-//
-// GET/PUT exchange complete FDCA-enveloped blobs
-// (driver/compilation_db.hpp), never decoded payloads: the checksum that
-// protects an artifact at rest protects it end-to-end across the wire,
-// and the daemon can vet a PUT (inspect_blob_envelope) without
-// understanding artifact payloads at all.
+// verbatim in the reply, so a client can match a reply to its request.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace fortd::remote {
@@ -37,6 +25,8 @@ namespace fortd::remote {
 /// v2: request-id varint after the type byte (pipelined connections).
 /// v3: compile-as-a-service messages (COMPILE/COMPILE_REPLY/DRAIN/
 ///     METRICS) for the resident fortdd daemon.
+/// Type bytes 4–13 are reserved (older peers sent cache messages with
+/// them) and decode as malformed.
 constexpr uint32_t kProtocolVersion = 3;
 
 /// The handshake fingerprint: protocol version mixed with the artifact
@@ -49,17 +39,7 @@ enum class MsgType : uint8_t {
   Hello = 1,        // client → daemon: format_hash
   HelloOk = 2,      // daemon → client
   HelloReject = 3,  // daemon → client: text = reason; connection closes
-  Get = 4,          // kind, format_hash, digest
-  GetOk = 5,        // blob = enveloped artifact
-  GetMiss = 6,      //
-  Put = 7,          // kind, digest, blob = enveloped artifact
-  PutOk = 8,        //
-  PutDenied = 9,    // text = reason (read-only daemon, invalid blob)
-  BatchGet = 10,    // format_hash, keys = (kind, digest) list
-  BatchGetOk = 11,  // blobs = (found, blob) list, parallel to keys
-  Stats = 12,        //
-  StatsOk = 13,      // text = metrics JSON
-  Error = 14,        // text = reason; daemon closes the connection
+  Error = 14,       // text = reason; daemon closes the connection
   // Compile-as-a-service (fortdd). The HELLO fingerprint covers these
   // like every other message: a client and daemon that disagree on the
   // compile-request layout never get past the handshake.
@@ -73,8 +53,8 @@ enum class MsgType : uint8_t {
 
 /// Compile options as they travel in a COMPILE request — the subset of
 /// CodegenOptions/LintOptions that changes the *output*, plus the
-/// request deadline. Schedule-only knobs (jobs, -sched) stay server-side
-/// because they are digest-neutral by contract.
+/// request deadline. The schedule-only knob (jobs) stays server-side
+/// because it is digest-neutral by contract.
 struct CompileOptionsWire {
   uint32_t n_procs = 4;
   uint8_t strategy = 0;    // static_cast<uint8_t>(fortd::Strategy)
@@ -118,20 +98,14 @@ struct CompileReplyWire {
 struct WireMessage {
   MsgType type = MsgType::Error;
   uint64_t request_id = 0;  // echoed verbatim in the reply; 0 in handshake
-  uint64_t format_hash = 0;
-  std::string kind;
-  uint64_t digest = 0;
-  std::vector<uint8_t> blob;
-  std::vector<std::pair<std::string, uint64_t>> keys;
-  std::vector<std::pair<bool, std::vector<uint8_t>>> blobs;
+  uint64_t format_hash = 0;  // Hello only
   std::string text;
   CompileOptionsWire copts;   // Compile only
   CompileReplyWire creply;    // CompileReply only
 };
 
-/// Daemon-side handshake step shared by fortd-cached and fortdd: given
-/// the first decoded message on a connection, fill `reply` and say how
-/// the connection proceeds. Protocol = not a HELLO at all (drop without
+/// Daemon-side handshake step of fortdd: given the first decoded message
+/// on a connection, fill `reply` and say how the connection proceeds. Protocol = not a HELLO at all (drop without
 /// replying); Reject = fingerprint mismatch (send reply, then close).
 enum class HelloOutcome { Ok, Reject, Protocol };
 HelloOutcome process_hello(const WireMessage& msg, uint64_t expected_hash,
@@ -141,7 +115,8 @@ HelloOutcome process_hello(const WireMessage& msg, uint64_t expected_hash,
 std::vector<uint8_t> encode_message(const WireMessage& m);
 
 /// Decode one frame payload; nullopt on any structural problem (unknown
-/// type, truncation, trailing bytes) — the BinaryReader discipline.
+/// or reserved type, truncation, trailing bytes) — the BinaryReader
+/// discipline.
 std::optional<WireMessage> decode_message(const std::vector<uint8_t>& frame);
 
 }  // namespace fortd::remote

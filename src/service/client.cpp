@@ -89,9 +89,10 @@ std::optional<ClientOptions> parse_server_endpoint(const std::string& spec) {
     port_part = spec.substr(colon + 1);
   }
   if (port_part.empty()) return std::nullopt;
-  const int port = std::atoi(port_part.c_str());
-  if (port <= 0 || port > 65535) return std::nullopt;
-  opts.port = port;
+  char* end = nullptr;
+  const long port = std::strtol(port_part.c_str(), &end, 10);
+  if (*end != '\0' || port <= 0 || port > 65535) return std::nullopt;
+  opts.port = static_cast<int>(port);
   return opts;
 }
 

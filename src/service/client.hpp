@@ -30,6 +30,7 @@ struct ClientOptions {
 };
 
 /// Parse "host:port" (host optional: ":4816" and "4816" also work).
+/// nullopt unless the port is a whole decimal number in 1..65535.
 std::optional<ClientOptions> parse_server_endpoint(const std::string& spec);
 
 class CompileClient {

@@ -1,6 +1,5 @@
 // In-repo LZ-style blob compression for the persistent compilation
-// database and the remote cache wire (see driver/compilation_db.hpp and
-// remote/protocol.hpp).
+// database (see driver/compilation_db.hpp).
 //
 // Artifact payloads are varint-packed but their bodies repeat names
 // heavily (procedure/array/decomposition identifiers recur in every

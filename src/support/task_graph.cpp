@@ -23,37 +23,32 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// All mutable scheduling state of one parallel run(). One mutex guards
+/// everything: tasks are whole-procedure compilations, so the scheduler
+/// is cold next to its payloads and finer-grained locking would only
+/// buy complexity.
+struct RunState {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::deque<uint32_t>> deques;  // per-slot runnable nodes
+  size_t ready_count = 0;  // nodes currently sitting in deques
+  size_t done = 0;         // nodes finished or cancelled
+  // (node index, exception) per failed node body.
+  std::vector<std::pair<size_t, std::exception_ptr>> errors;
+};
+
 }  // namespace
 
 TaskGraphStats& TaskGraphStats::operator+=(const TaskGraphStats& o) {
   executed += o.executed;
   stolen += o.stolen;
   cancelled += o.cancelled;
-  aux_executed += o.aux_executed;
-  aux_dropped += o.aux_dropped;
   if (o.ready_peak > ready_peak) ready_peak = o.ready_peak;
   if (o.critical_path > critical_path) critical_path = o.critical_path;
   idle_ms += o.idle_ms;
   wall_ms += o.wall_ms;
   return *this;
 }
-
-/// All mutable scheduling state of one parallel run(). One mutex guards
-/// everything: tasks are whole-procedure compilations, so the scheduler
-/// is cold next to its payloads and finer-grained locking would only
-/// buy complexity.
-class TaskGraph::Impl {
-public:
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::deque<uint32_t>> deques;  // per-slot runnable nodes
-  std::deque<std::function<void()>> aux;     // idle-slot side tasks
-  size_t ready_count = 0;  // nodes currently sitting in deques
-  size_t done = 0;         // nodes finished or cancelled
-  // (order key, exception) per failure; node index for node bodies and
-  // ready-hook calls, SIZE_MAX for auxiliary tasks.
-  std::vector<std::pair<size_t, std::exception_ptr>> errors;
-};
 
 TaskGraph::TaskGraph(size_t n) : nodes_(n) {}
 
@@ -63,31 +58,6 @@ void TaskGraph::add_dependency(size_t node, size_t dep) {
   assert(dep < node && "node indices must be a topological order");
   nodes_[node].pending++;
   nodes_[dep].dependents.push_back(static_cast<uint32_t>(node));
-}
-
-void TaskGraph::set_ready_hook(
-    std::function<void(const std::vector<size_t>&)> hook) {
-  ready_hook_ = std::move(hook);
-}
-
-void TaskGraph::spawn_aux(std::function<void()> fn) {
-  if (impl_) {
-    {
-      std::lock_guard<std::mutex> lock(impl_->mu);
-      impl_->aux.push_back(std::move(fn));
-    }
-    impl_->cv.notify_one();
-    return;
-  }
-  if (ran_) {
-    // Inline schedule: run at the spawn point, so the serial order
-    // issues each fetch before the compiles it covers — the same
-    // fetch-then-generate order the serial wavefront used.
-    fn();
-    ++stats_.aux_executed;
-    return;
-  }
-  pending_aux_.push_back(std::move(fn));
 }
 
 void TaskGraph::run(ThreadPool* pool, const std::function<void(size_t)>& fn) {
@@ -107,52 +77,32 @@ void TaskGraph::run(ThreadPool* pool, const std::function<void(size_t)>& fn) {
       if (d > stats_.critical_path) stats_.critical_path = d;
   }
 
-  std::vector<size_t> initial;
-  for (size_t i = 0; i < nodes_.size(); ++i)
-    if (nodes_[i].pending == 0) initial.push_back(i);
-
   if (!pool || pool->size() == 0) {
     // Inline: index order *is* a valid schedule (deps precede their
     // dependents), and it is exactly the serial emission order.
-    for (auto& fn_aux : pending_aux_) {
-      fn_aux();
-      ++stats_.aux_executed;
-    }
-    pending_aux_.clear();
-    if (ready_hook_ && !initial.empty()) ready_hook_(initial);
     run_inline(fn);
     stats_.wall_ms += ms_since(t0);
     return;
   }
 
-  Impl impl;
+  RunState state;
   const size_t nslots = static_cast<size_t>(pool->size()) + 1;
   const size_t n = nodes_.size();
-  impl.deques.resize(nslots);
-  for (auto& fn_aux : pending_aux_) impl.aux.push_back(std::move(fn_aux));
-  pending_aux_.clear();
-  impl_ = &impl;
-  if (ready_hook_ && !initial.empty()) {
-    try {
-      ready_hook_(initial);
-    } catch (...) {
-      impl_ = nullptr;  // no worker started; nothing ran
-      throw;
-    }
-  }
+  state.deques.resize(nslots);
   // Scatter the initial frontier round-robin so every slot starts with
   // local work instead of stealing from slot 0.
-  for (size_t j = 0; j < initial.size(); ++j)
-    impl.deques[j % nslots].push_back(static_cast<uint32_t>(initial[j]));
-  impl.ready_count = initial.size();
-  if (impl.ready_count > stats_.ready_peak)
-    stats_.ready_peak = impl.ready_count;
+  for (size_t i = 0; i < n; ++i)
+    if (nodes_[i].pending == 0)
+      state.deques[state.ready_count++ % nslots].push_back(
+          static_cast<uint32_t>(i));
+  if (state.ready_count > stats_.ready_peak)
+    stats_.ready_peak = state.ready_count;
 
   // Mark `seeds` (whose `done` was already counted) finished, poisoned
   // ones as cancellation sources, and cascade: a dependent of a failed
   // or cancelled node is cancelled the moment its counter hits zero —
   // it never enqueues, so the deques hold only runnable nodes. Returns
-  // the newly runnable dependents. Caller holds impl.mu.
+  // the newly runnable dependents. Caller holds state.mu.
   auto cascade_done = [&](std::vector<uint32_t> cascade,
                           std::vector<bool> poison) {
     std::vector<size_t> ready;
@@ -162,7 +112,7 @@ void TaskGraph::run(ThreadPool* pool, const std::function<void(size_t)>& fn) {
         if (bad) nodes_[d].cancelled = true;
         if (--nodes_[d].pending == 0) {
           if (nodes_[d].cancelled) {
-            ++impl.done;
+            ++state.done;
             ++stats_.cancelled;
             cascade.push_back(d);
             poison.push_back(true);
@@ -179,17 +129,16 @@ void TaskGraph::run(ThreadPool* pool, const std::function<void(size_t)>& fn) {
     for (;;) {
       uint32_t node = kNoNode;
       bool stole = false;
-      std::function<void()> aux_fn;
       {
-        std::unique_lock<std::mutex> lock(impl.mu);
+        std::unique_lock<std::mutex> lock(state.mu);
         for (;;) {
-          if (!impl.deques[slot].empty()) {
-            node = impl.deques[slot].back();  // LIFO: freshest, warmest
-            impl.deques[slot].pop_back();
+          if (!state.deques[slot].empty()) {
+            node = state.deques[slot].back();  // LIFO: freshest, warmest
+            state.deques[slot].pop_back();
             break;
           }
           for (size_t v = 1; v < nslots && node == kNoNode; ++v) {
-            auto& victim = impl.deques[(slot + v) % nslots];
+            auto& victim = state.deques[(slot + v) % nslots];
             if (!victim.empty()) {
               node = victim.front();  // FIFO end: the victim's coldest
               victim.pop_front();
@@ -197,38 +146,15 @@ void TaskGraph::run(ThreadPool* pool, const std::function<void(size_t)>& fn) {
             }
           }
           if (node != kNoNode) break;
-          // Every node done: exit, dropping queued aux tasks — there is
-          // nothing left for a prefetch to overlap with.
-          if (impl.done == n) return;
-          if (!impl.aux.empty()) {
-            aux_fn = std::move(impl.aux.front());
-            impl.aux.pop_front();
-            break;
-          }
+          if (state.done == n) return;
           const auto w0 = std::chrono::steady_clock::now();
-          impl.cv.wait(lock, [&] {
-            return impl.ready_count > 0 || !impl.aux.empty() ||
-                   impl.done == n;
+          state.cv.wait(lock, [&] {
+            return state.ready_count > 0 || state.done == n;
           });
           stats_.idle_ms += ms_since(w0);
         }
-        if (node != kNoNode) {
-          --impl.ready_count;
-          if (stole) ++stats_.stolen;
-        }
-      }
-
-      if (aux_fn) {
-        std::exception_ptr err;
-        try {
-          aux_fn();
-        } catch (...) {
-          err = std::current_exception();  // aux must not throw; keep it
-        }
-        std::lock_guard<std::mutex> lock(impl.mu);
-        ++stats_.aux_executed;
-        if (err) impl.errors.emplace_back(SIZE_MAX, err);
-        continue;
+        --state.ready_count;
+        if (stole) ++stats_.stolen;
       }
 
       std::exception_ptr err;
@@ -238,66 +164,37 @@ void TaskGraph::run(ThreadPool* pool, const std::function<void(size_t)>& fn) {
         err = std::current_exception();
       }
 
-      std::vector<size_t> ready;
+      size_t n_ready = 0;
       bool all_done = false;
       {
-        std::lock_guard<std::mutex> lock(impl.mu);
+        std::lock_guard<std::mutex> lock(state.mu);
         ++stats_.executed;
-        if (err) impl.errors.emplace_back(node, err);
-        ++impl.done;
-        ready = cascade_done({node}, {err != nullptr});
-        all_done = impl.done == n;
-      }
-      if (all_done) impl.cv.notify_all();
-      if (ready.empty()) continue;
-
-      // The ready hook runs before the nodes are published: everything
-      // it writes for them is ordered before any worker picks them up.
-      // A throwing hook would strand its batch and deadlock the run, so
-      // its failure cancels the batch like a failed ancestor.
-      if (ready_hook_) {
-        try {
-          ready_hook_(ready);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(impl.mu);
-          impl.errors.emplace_back(ready.front(), std::current_exception());
-          std::vector<uint32_t> seeds;
-          for (size_t r : ready) {
-            nodes_[r].cancelled = true;
-            ++impl.done;
-            ++stats_.cancelled;
-            seeds.push_back(static_cast<uint32_t>(r));
-          }
-          cascade_done(std::move(seeds),
-                       std::vector<bool>(ready.size(), true));
-          if (impl.done == n) impl.cv.notify_all();
-          continue;
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(impl.mu);
+        if (err) state.errors.emplace_back(node, err);
+        ++state.done;
+        const std::vector<size_t> ready =
+            cascade_done({node}, {err != nullptr});
         for (size_t r : ready)
-          impl.deques[slot].push_back(static_cast<uint32_t>(r));
-        impl.ready_count += ready.size();
-        if (impl.ready_count > stats_.ready_peak)
-          stats_.ready_peak = impl.ready_count;
+          state.deques[slot].push_back(static_cast<uint32_t>(r));
+        n_ready = ready.size();
+        state.ready_count += n_ready;
+        if (state.ready_count > stats_.ready_peak)
+          stats_.ready_peak = state.ready_count;
+        all_done = state.done == n;
       }
-      if (ready.size() > 1)
-        impl.cv.notify_all();
-      else
-        impl.cv.notify_one();
+      if (all_done || n_ready > 1)
+        state.cv.notify_all();
+      else if (n_ready == 1)
+        state.cv.notify_one();
     }
   });
 
-  impl_ = nullptr;
-  stats_.aux_dropped += impl.aux.size();
   stats_.wall_ms += ms_since(t0);
 
-  if (!impl.errors.empty()) {
+  if (!state.errors.empty()) {
     size_t best = 0;
-    for (size_t i = 1; i < impl.errors.size(); ++i)
-      if (impl.errors[i].first < impl.errors[best].first) best = i;
-    std::rethrow_exception(impl.errors[best].second);
+    for (size_t i = 1; i < state.errors.size(); ++i)
+      if (state.errors[i].first < state.errors[best].first) best = i;
+    std::rethrow_exception(state.errors[best].second);
   }
 }
 
@@ -307,10 +204,7 @@ void TaskGraph::run_inline(const std::function<void(size_t)>& fn) {
            "dependency edge violates topological node order");
     fn(i);  // a throw propagates immediately: serial first-failure
     ++stats_.executed;
-    std::vector<size_t> ready;
-    for (uint32_t d : nodes_[i].dependents)
-      if (--nodes_[d].pending == 0) ready.push_back(d);
-    if (ready_hook_ && !ready.empty()) ready_hook_(ready);
+    for (uint32_t d : nodes_[i].dependents) --nodes_[d].pending;
   }
 }
 

@@ -1,14 +1,13 @@
 // Barrier-free dependency-graph executor for the compilation scheduler.
 //
-// The wavefront schedules (PR 1/2) partition the augmented call graph
-// into depth levels with a full barrier between them, so every level
-// pays the stall of its slowest procedure: dgefa's wide daxpy level
-// waits behind the serial idamax chain even though the daxpys' own
-// callees finished long ago. TaskGraph removes the barrier: each node
-// carries a remaining-dependency counter, finishing a node decrements
-// its dependents, and a dependent that hits zero is enqueued at that
-// moment — a ready caller starts when its *own* callees finish, not
-// when the whole level does.
+// A schedule that partitions the augmented call graph into depth levels
+// with a full barrier between them makes every level pay the stall of
+// its slowest procedure: dgefa's wide daxpy level would wait behind the
+// serial idamax chain even though the daxpys' own callees finished long
+// ago. TaskGraph has no barrier: each node carries a remaining-dependency
+// counter, finishing a node decrements its dependents, and a dependent
+// that hits zero is enqueued at that moment — a ready caller starts when
+// its *own* callees finish, not when the whole level does.
 //
 // Execution is work-stealing over the shared ThreadPool: one
 // parallel_for batch whose indices are scheduler worker slots. Each
@@ -37,15 +36,6 @@ namespace fortd {
 
 class ThreadPool;
 
-/// Which schedule runs the ACG passes. WorkStealing is the default;
-/// Wavefront (depth levels with barriers) is kept as the measurable
-/// baseline and for parity tests. Output is byte-identical either way,
-/// and the choice is excluded from cache digests (like `jobs`).
-enum class Scheduler {
-  WorkStealing,
-  Wavefront,
-};
-
 /// Observability counters of one run() (or the sum of several — see
 /// operator+=). Idle time is the stall the barrier-free schedule is
 /// meant to eliminate; critical_path bounds the achievable wall time.
@@ -53,8 +43,6 @@ struct TaskGraphStats {
   uint64_t executed = 0;     // nodes whose body ran
   uint64_t stolen = 0;       // nodes popped from another slot's deque
   uint64_t cancelled = 0;    // nodes skipped because an ancestor threw
-  uint64_t aux_executed = 0; // auxiliary tasks run (prefetch batches)
-  uint64_t aux_dropped = 0;  // auxiliary tasks still queued at the end
   size_t ready_peak = 0;     // high-water mark of enqueued-ready nodes
   size_t critical_path = 0;  // longest dependency chain (node count)
   double idle_ms = 0.0;      // summed worker wait time inside run()
@@ -78,24 +66,6 @@ public:
   /// symmetrically.
   void add_dependency(size_t node, size_t dep);
 
-  /// Hook invoked with each batch of nodes that just became ready,
-  /// *before* they are enqueued — anything the hook writes for those
-  /// nodes happens-before their bodies run on any worker. This is
-  /// where codegen finalizes digests (a node is ready exactly when its
-  /// last callee resolved) and spawns prefetch batches. Ready batches
-  /// for different nodes may fire concurrently from different workers;
-  /// nodes cancelled by a failed ancestor never reach the hook.
-  void set_ready_hook(std::function<void(const std::vector<size_t>&)> hook);
-
-  /// Enqueue an auxiliary task (a remote-cache BATCH_GET) on the same
-  /// workers. Auxiliary tasks run only on otherwise-idle slots (graph
-  /// nodes and steals take priority), never block completion, and are
-  /// dropped if still queued when the last node finishes — they must
-  /// be pure optimizations. With no pool, spawn_aux runs `fn` inline
-  /// immediately (the serial schedule issues fetches before compiles).
-  /// Callable from the ready hook and from node bodies.
-  void spawn_aux(std::function<void()> fn);
-
   /// Run fn(i) for every node, respecting dependencies. Uses `pool`'s
   /// workers plus the caller when given (one parallel_for batch for
   /// the whole graph); runs inline in index order when `pool` is null
@@ -116,15 +86,10 @@ private:
     std::vector<uint32_t> dependents;
   };
 
-  class Impl;  // parallel-run state (deques, cv); lives only in run()
-
   void run_inline(const std::function<void(size_t)>& fn);
 
   std::vector<Node> nodes_;
-  std::function<void(const std::vector<size_t>&)> ready_hook_;
-  std::vector<std::function<void()>> pending_aux_;  // spawned before run()
   TaskGraphStats stats_;
-  Impl* impl_ = nullptr;  // non-null only while run() executes on a pool
   bool ran_ = false;
 };
 

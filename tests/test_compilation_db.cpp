@@ -1,7 +1,10 @@
 // The persistent content-addressed compilation database:
 //   * BinaryWriter/BinaryReader round trips and stream-failure semantics,
+//   * the LZ codec under the blob envelope,
 //   * ContentStore blob lifecycle — store/flush/load across instances,
-//     atomic layout, LRU eviction, read-only mode, clear(),
+//     byte-exact payloads, atomic layout, LRU eviction, clear(), kind
+//     validation and traversal kinds, mark_corrupt, the inert store
+//     without a directory, and a multi-threaded soak,
 //   * corruption robustness — truncation, bit flips, and version skew all
 //     degrade to a silent full recompile with the corrupt counter bumped
 //     and the damaged blob quarantined,
@@ -13,17 +16,21 @@
 //     produce identical artifact digests and identical blob bytes,
 //   * cold-vs-warm byte identity for jobs=1 and jobs=4,
 //   * CompilerStats surviving a CompileError (the -timings analogue of
-//     last_lint_report()).
+//     last_lint_report()), and -cache-stats-json naming every tier.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <set>
+#include <thread>
 
 #include "../bench/programs.hpp"
+#include "cache_dir.hpp"
 #include "codegen/spmd_printer.hpp"
 #include "driver/compilation_db.hpp"
 #include "driver/compiler.hpp"
+#include "support/compress.hpp"
 #include "support/serialize.hpp"
 
 namespace fs = std::filesystem;
@@ -31,13 +38,7 @@ namespace fs = std::filesystem;
 namespace fortd {
 namespace {
 
-// Fresh per-test cache directory under gtest's temp root.
-std::string fresh_cache_dir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("fortd_cachedb_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
+using test::fresh_cache_dir;
 
 std::vector<uint8_t> bytes_of(std::initializer_list<int> xs) {
   std::vector<uint8_t> v;
@@ -141,6 +142,58 @@ TEST(Serialize, OverlongVarintFails) {
   BinaryReader r(bytes);
   (void)r.u64();
   EXPECT_FALSE(r.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Compression codec
+// ---------------------------------------------------------------------------
+
+TEST(Compress, RoundTripsRepetitiveAndShrinksIt) {
+  std::vector<uint8_t> raw;
+  for (int i = 0; i < 10000; ++i)
+    raw.push_back(static_cast<uint8_t>("abcdabcdabcd"[i % 12]));
+  std::vector<uint8_t> comp = compress_bytes(raw);
+  EXPECT_LT(comp.size(), raw.size() / 4)
+      << "repetitive data must compress well";
+  auto back = decompress_bytes(comp);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, raw);
+}
+
+TEST(Compress, RoundTripsIncompressibleViaStoredMode) {
+  // A deterministic pseudorandom buffer defeats the matcher; the codec
+  // must fall back to stored mode and cost only the small header.
+  std::vector<uint8_t> raw;
+  uint64_t x = 88172645463325252ull;
+  for (int i = 0; i < 4096; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    raw.push_back(static_cast<uint8_t>(x));
+  }
+  std::vector<uint8_t> comp = compress_bytes(raw);
+  EXPECT_LE(comp.size(), raw.size() + 8);
+  auto back = decompress_bytes(comp);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, raw);
+}
+
+TEST(Compress, RoundTripsEmptyAndTiny) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{3}}) {
+    std::vector<uint8_t> raw(n, 0x5a);
+    auto back = decompress_bytes(compress_bytes(raw));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(*back, raw);
+  }
+}
+
+TEST(Compress, EnvelopePayloadsAreCompressed) {
+  std::vector<uint8_t> payload(8192, 7);  // maximally repetitive
+  std::vector<uint8_t> blob = make_blob_envelope(1, 2, payload);
+  EXPECT_LT(blob.size(), payload.size() / 8);
+  auto back = open_blob_envelope(blob, 1, 2);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,26 +342,26 @@ TEST(ContentStore, LruTicksSurviveReopen) {
       fs::exists(fs::path(dir) / "proc" / ContentStore::hex_digest(2)));
 }
 
-TEST(ContentStore, ReadOnlyModeNeverWritesOrQuarantines) {
-  std::string dir = fresh_cache_dir("readonly");
-  {
-    ContentStore store({dir});
-    store.store("proc", 7, 42, bytes_of({1, 2, 3}));
-  }
-  fs::path blob = fs::path(dir) / "proc" / ContentStore::hex_digest(42);
-  std::vector<uint8_t> bytes = slurp(blob);
-  bytes.back() ^= 0xff;
-  spit(blob, bytes);
+TEST(ContentStore, ValidatesKinds) {
+  EXPECT_TRUE(ContentStore::valid_kind("proc"));
+  EXPECT_TRUE(ContentStore::valid_kind("summary_v2.x-y"));
+  EXPECT_FALSE(ContentStore::valid_kind(""));
+  EXPECT_FALSE(ContentStore::valid_kind("."));
+  EXPECT_FALSE(ContentStore::valid_kind(".."));
+  EXPECT_FALSE(ContentStore::valid_kind("a/b"));
+  EXPECT_FALSE(ContentStore::valid_kind("../up"));
+  EXPECT_FALSE(ContentStore::valid_kind("quote\"kind"));
+  EXPECT_FALSE(ContentStore::valid_kind(std::string(65, 'a')));
 
-  CacheOptions opt{dir};
-  opt.read_only = true;
-  ContentStore store(opt);
-  store.store("proc", 7, 99, bytes_of({4}));
+  const std::string dir = fresh_cache_dir("kind_validation");
+  ContentStore store({dir});
+  store.store("../up", 11, 7, {1});
+  store.store("bad/slash", 11, 8, {2});
   store.flush();
-  EXPECT_FALSE(store.load("proc", 7, 99).has_value()) << "stores are dropped";
-  EXPECT_FALSE(store.load("proc", 7, 42).has_value());
-  EXPECT_EQ(store.counters().corrupt, 1u);
-  EXPECT_TRUE(fs::exists(blob)) << "read-only must not delete blobs";
+  EXPECT_FALSE(store.load("../up", 11, 7).has_value());
+  EXPECT_FALSE(fs::exists(fs::path(dir).parent_path() / "up"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "bad"));
+  EXPECT_EQ(store.counters().writes, 0u) << "hostile kinds are dropped writes";
 }
 
 TEST(ContentStore, ClearEmptiesTheStore) {
@@ -334,6 +387,207 @@ TEST(ContentStore, ForeignFilesInTheDirectoryAreIgnored) {
   store.store("proc", 7, 1, bytes_of({9}));
   store.flush();
   EXPECT_TRUE(fs::exists(fs::path(dir) / "proc" / "not-a-digest"));
+}
+
+TEST(ContentStore, StoreThenLoadRoundTripsEveryByteValueExactly) {
+  // Payloads are opaque bytes: every byte value, a run the compressor
+  // shrinks and noise it cannot all survive the envelope and a reopen.
+  std::vector<uint8_t> payload;
+  for (int i = 0; i < 256; ++i) payload.push_back(static_cast<uint8_t>(i));
+  payload.insert(payload.end(), 500, 0x3c);
+  std::mt19937 rng(7);
+  for (int i = 0; i < 700; ++i) payload.push_back(static_cast<uint8_t>(rng()));
+
+  const std::string dir = fresh_cache_dir("roundtrip");
+  {
+    ContentStore store({dir});
+    store.store("proc", 11, 42, payload);
+  }
+  ContentStore store({dir});
+  auto got = store.load("proc", 11, 42);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
+  EXPECT_FALSE(store.load("proc", 11, 43).has_value());
+  EXPECT_EQ(store.counters().hits, 1u);
+  EXPECT_EQ(store.counters().misses, 1u);
+  EXPECT_EQ(store.counters().corrupt, 0u);
+}
+
+TEST(ContentStore, TraversalKindsNeverTouchTheFilesystem) {
+  // A kind becomes a path component, so no store, load or quarantine may
+  // follow a hostile one out of the cache directory. A blob-named decoy
+  // beside the directory must survive a mark_corrupt aimed at it.
+  const fs::path root = fresh_cache_dir("traversal");
+  const std::string dir = (root / "store").string();
+  const fs::path decoy = root / ContentStore::hex_digest(42);
+  spit(decoy, bytes_of({7}));
+
+  ContentStore store({dir});
+  const std::vector<std::string> hostile = {"..", ".", "../escaped", "a/b",
+                                            "/abs", ""};
+  for (const std::string& kind : hostile) {
+    store.store(kind, 11, 42, bytes_of({1, 2, 3}));
+    EXPECT_FALSE(store.load(kind, 11, 42).has_value()) << kind;
+    store.mark_corrupt(kind, 42);
+  }
+  store.flush();
+  EXPECT_TRUE(fs::exists(decoy)) << "a quarantine followed a traversal kind";
+  EXPECT_FALSE(fs::exists(root / "escaped"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "a"));
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.counters().writes, 0u);
+  EXPECT_EQ(store.counters().corrupt, 0u);
+  EXPECT_EQ(store.counters().misses, hostile.size());
+}
+
+TEST(ContentStore, MarkCorruptQuarantinesAFlushedBlob) {
+  // A payload the artifact codec cannot decode is reported from above the
+  // envelope; its slot must go exactly as a failed checksum's would, and
+  // its neighbours must stay.
+  const std::string dir = fresh_cache_dir("mark_corrupt");
+  ContentStore store({dir});
+  store.store("proc", 7, 42, bytes_of({1, 2, 3}));
+  store.store("proc", 7, 43, bytes_of({4}));
+  store.flush();
+  const fs::path blob = fs::path(dir) / "proc" / ContentStore::hex_digest(42);
+  ASSERT_TRUE(fs::exists(blob));
+
+  store.mark_corrupt("proc", 42);
+  EXPECT_FALSE(fs::exists(blob));
+  EXPECT_EQ(store.counters().corrupt, 1u);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_FALSE(store.load("proc", 7, 42).has_value());
+  EXPECT_TRUE(store.load("proc", 7, 43).has_value());
+  store.flush();
+
+  ContentStore reopened({dir});
+  EXPECT_EQ(reopened.size(), 1u);
+  EXPECT_FALSE(reopened.load("proc", 7, 42).has_value());
+}
+
+TEST(ContentStore, MarkCorruptDropsAPendingWrite) {
+  const std::string dir = fresh_cache_dir("mark_pending");
+  ContentStore store({dir});
+  store.store("summary", 9, 5, bytes_of({5, 5}));
+  store.mark_corrupt("summary", 5);
+  EXPECT_FALSE(store.load("summary", 9, 5).has_value());
+  store.flush();
+  EXPECT_EQ(store.counters().writes, 0u);
+  EXPECT_FALSE(
+      fs::exists(fs::path(dir) / "summary" / ContentStore::hex_digest(5)));
+  EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(ContentStore, SameDigestUnderTwoKindsAreDistinctArtifacts) {
+  // Keys are (kind, digest): a procedure and a summary that share a
+  // digest must never read, or quarantine, each other's payload.
+  const std::string dir = fresh_cache_dir("two_kinds");
+  {
+    ContentStore store({dir});
+    store.store("proc", 7, 42, bytes_of({1}));
+    store.store("summary", 7, 42, bytes_of({2, 2}));
+  }
+  ContentStore store({dir});
+  EXPECT_EQ(store.size(), 2u);
+  auto proc = store.load("proc", 7, 42);
+  auto summary = store.load("summary", 7, 42);
+  ASSERT_TRUE(proc.has_value());
+  ASSERT_TRUE(summary.has_value());
+  EXPECT_EQ(*proc, bytes_of({1}));
+  EXPECT_EQ(*summary, bytes_of({2, 2}));
+
+  store.mark_corrupt("proc", 42);
+  EXPECT_FALSE(store.load("proc", 7, 42).has_value());
+  EXPECT_TRUE(store.load("summary", 7, 42).has_value());
+}
+
+TEST(ContentStore, ZeroMaxBytesNeverEvicts) {
+  const std::string dir = fresh_cache_dir("unbounded");
+  CacheOptions opt{dir};
+  opt.max_bytes = 0;
+  ContentStore store(opt);
+  for (uint64_t d = 1; d <= 40; ++d)
+    store.store("proc", 7, d, std::vector<uint8_t>(2048, static_cast<uint8_t>(d)));
+  store.flush();
+  EXPECT_EQ(store.counters().writes, 40u);
+  EXPECT_EQ(store.counters().evictions, 0u);
+  EXPECT_EQ(blob_listing(dir).size(), 40u);
+}
+
+TEST(ContentStore, EmptyDirectoryMakesTheStoreInert) {
+  // Without -cache-dir the memory tiers run alone. The store takes every
+  // call and neither keeps nor writes anything: with an empty directory a
+  // blob path would start at the filesystem root.
+  ContentStore store(CacheOptions{});
+  store.store("proc", 7, 42, bytes_of({1}));
+  EXPECT_FALSE(store.load("proc", 7, 42).has_value());
+  store.mark_corrupt("proc", 42);
+  store.flush();
+  store.clear();
+  EXPECT_EQ(store.size(), 0u);
+  const ContentStore::Counters c = store.counters();
+  EXPECT_EQ(c.hits + c.misses + c.writes + c.evictions + c.corrupt, 0u);
+}
+
+TEST(ContentStoreSoak, ConcurrentThreadsMixLoadsAndStoresByteIdentically) {
+  // Compile workers load and store artifacts from concurrent task-graph
+  // nodes. Four threads interleave private writes, read-backs, shared
+  // reads and flushes on one store; every read must return exactly the
+  // bytes stored (run under FORTD_SANITIZE=thread to vet the locking).
+  constexpr int kThreads = 4;
+  constexpr int kOps = 40;
+  constexpr uint64_t kFormat = 11;
+  const auto payload_for = [](uint64_t digest) {
+    std::vector<uint8_t> p(64 + digest % 512);
+    for (size_t i = 0; i < p.size(); ++i)
+      p[i] = static_cast<uint8_t>(digest * 31 + i * 7);
+    return p;
+  };
+  const auto private_digest = [](int t, int i) {
+    return 1000 + static_cast<uint64_t>(t) * 100 + static_cast<uint64_t>(i);
+  };
+
+  const std::string dir = fresh_cache_dir("store_soak");
+  {
+    ContentStore seeder({dir});
+    for (uint64_t d = 1; d <= 8; ++d)
+      seeder.store("proc", kFormat, d, payload_for(d));
+  }
+  ContentStore store({dir});
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kOps; ++i) {
+        const uint64_t mine = private_digest(t, i);
+        store.store("summary", kFormat, mine, payload_for(mine));
+        auto got = store.load("summary", kFormat, mine);
+        if (!got || *got != payload_for(mine)) ++failures[t];
+        const uint64_t shared = 1 + static_cast<uint64_t>(i) % 8;
+        auto s = store.load("proc", kFormat, shared);
+        if (!s || *s != payload_for(shared)) ++failures[t];
+        if (i % 10 == t) store.flush();
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+
+  store.flush();
+  const ContentStore::Counters c = store.counters();
+  EXPECT_EQ(c.writes, static_cast<uint64_t>(kThreads * kOps));
+  EXPECT_EQ(c.hits, static_cast<uint64_t>(2 * kThreads * kOps));
+  EXPECT_EQ(c.misses, 0u);
+  EXPECT_EQ(c.corrupt, 0u);
+
+  ContentStore reopened({dir});
+  EXPECT_EQ(reopened.size(), static_cast<size_t>(8 + kThreads * kOps));
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kOps; ++i) {
+      auto got = reopened.load("summary", kFormat, private_digest(t, i));
+      ASSERT_TRUE(got.has_value()) << t << "/" << i;
+      EXPECT_EQ(*got, payload_for(private_digest(t, i)));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -512,6 +766,23 @@ TEST(CompilerStatsOnError, LastStatsFilledWhenCompileThrows) {
   EXPECT_GT(compiler.last_stats().total_ms, 0.0);
   EXPECT_EQ(compiler.last_stats().jobs, 1);
   EXPECT_EQ(compiler.last_stats().generated, 0);
+}
+
+// ---------------------------------------------------------------------------
+// fortdc -cache-stats-json
+// ---------------------------------------------------------------------------
+
+TEST(CacheStatsJson, NamesEveryTier) {
+  CodegenOptions opt;
+  opt.n_procs = 4;
+  Compiler compiler(opt, {}, {}, CacheOptions{fresh_cache_dir("stats_json")});
+  compiler.compile_source(bench::fan_out(4, 64));
+
+  const std::string json = compiler.cache_stats_json();
+  EXPECT_NE(json.find("\"memory\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"disk\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"scheduler\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"misses\":"), std::string::npos) << json;
 }
 
 }  // namespace

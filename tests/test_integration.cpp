@@ -4,10 +4,16 @@
 // correctness property behind every benchmark: all strategies and all
 // machine sizes compute the same values.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 
 #include "driver/compiler.hpp"
+#include "example_programs.hpp"
 
 namespace fortd {
 namespace {
@@ -330,6 +336,107 @@ TEST(Scaling, ComputeBoundProblemSpeedsUpWithProcessors) {
   double t8 = time_at(8);
   EXPECT_LT(t4, t1 / 2.0);
   EXPECT_LT(t8, t4);
+}
+
+// ---------------------------------------------------------------------------
+// Array bounds the binder cannot evaluate
+// ---------------------------------------------------------------------------
+
+std::string replace_once(std::string s, const std::string& from,
+                         const std::string& to) {
+  s.replace(s.find(from), from.size(), to);
+  return s;
+}
+
+struct BoundCase {
+  const char* name;
+  std::string source;
+  const char* bound;  // the name the diagnostic must mention
+};
+
+std::vector<BoundCase> unevaluable_bound_cases() {
+  return {
+      {"undeclared_in_main",
+       replace_once(examples::kStencil2d, "real x(100,100)",
+                    "real x(return100,100)"),
+       "return100"},
+      {"variable_in_main", R"(
+      program p
+      integer n
+      real x(n,100)
+      integer i
+      distribute x(block,:)
+      do i = 1, 100
+        x(1,i) = i
+      enddo
+      end
+)",
+       "'n'"},
+      {"undeclared_in_subroutine", R"(
+      program p
+      real x(100)
+      call s(x)
+      end
+
+      subroutine s(a)
+      real a(bogus)
+      a(1) = 1.0
+      end
+)",
+       "bogus"},
+  };
+}
+
+TEST(ArrayBounds, UnevaluableBoundIsACompileErrorNamingIt) {
+  for (const BoundCase& c : unevaluable_bound_cases()) {
+    try {
+      Compiler().compile_source(c.source);
+      ADD_FAILURE() << c.name << ": compiled";
+    } catch (const CompileError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.bound), std::string::npos)
+          << c.name << ": " << e.what();
+    }
+  }
+}
+
+TEST(ArrayBounds, UnevaluableBoundExitsOneThroughFortdc) {
+  namespace fs = std::filesystem;
+  for (const BoundCase& c : unevaluable_bound_cases()) {
+    const fs::path path =
+        fs::path(::testing::TempDir()) /
+        ("fortd_bound_" + std::string(c.name) + "_" +
+         std::to_string(::getpid()) + ".fd");
+    std::ofstream(path) << c.source;
+    const std::string cmd = std::string(FORTD_FORTDC_PATH) +
+                            " -p 2 -s inter " + path.string() +
+                            " > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << c.name << " died on a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 1) << c.name;
+    fs::remove(path);
+  }
+}
+
+TEST(ArrayBounds, AdjustableBoundsOfFormalsAndCommonStillCompile) {
+  // F77 adjustable arrays: a subroutine may bound an array by its formals
+  // and by COMMON variables.
+  Compiler().compile_source(R"(
+      program p
+      real x(30)
+      integer n
+      common /sizes/ n
+      n = 30
+      call f(x, 1, 30)
+      end
+
+      subroutine f(a, lo, hi)
+      real a(lo:hi)
+      real b(n)
+      integer lo, hi, n
+      common /sizes/ n
+      a(hi) = a(lo) + 100.0
+      end
+)");
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Wavefront-parallel code generation and the content-hashed procedure
+// Parallel code generation and the content-hashed procedure
 // cache:
 //   * serial (jobs=1) and parallel (jobs=4) schedules print byte-identical
 //     SPMD programs across every workload generator and example source,

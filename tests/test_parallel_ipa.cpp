@@ -1,4 +1,4 @@
-// Incremental, wavefront-parallel interprocedural analysis:
+// Incremental, parallel interprocedural analysis:
 //   * serial (no pool) and parallel (pooled) run_ipa produce identical
 //     summaries, side effects, reaching decompositions, and clone sets
 //     over every workload generator,
@@ -6,7 +6,8 @@
 //     carrying unchanged procedures over between rounds,
 //   * the Compiler's IpaSummaryCache skips local analysis for unchanged
 //     procedures across compile() calls (1-of-N edit re-analyzes 1),
-//   * top_down_levels respects caller-before-callee,
+//   * topological_indices(), the node order of the top-down pass, puts
+//     every caller before its callees,
 //   * the machine simulator runs correctly on a shared ThreadPool.
 #include <gtest/gtest.h>
 
@@ -299,44 +300,32 @@ TEST(SummaryCache, CachedCompileIsByteIdenticalAcrossJobs) {
 }
 
 // ---------------------------------------------------------------------------
-// Top-down wavefront levels
+// Top-down node order of the reaching-decompositions task graph
 // ---------------------------------------------------------------------------
 
-TEST(TopDownLevels, DgefaRespectsCallerBeforeCallee) {
-  BoundProgram bp = parse_and_bind(bench::dgefa(16));
-  IpaContext ctx = run_ipa(bp);
-  auto levels = ctx.acg.top_down_levels();
-  ASSERT_FALSE(levels.empty());
-
-  std::map<int, int> level_of;
-  for (size_t l = 0; l < levels.size(); ++l)
-    for (int idx : levels[l]) {
-      EXPECT_EQ(level_of.count(idx), 0u);
-      level_of[idx] = static_cast<int>(l);
+TEST(TopologicalIndices, CallersPrecedeCalleesOnEveryWorkload) {
+  // Reaching decompositions run as a task graph over topological_indices():
+  // node positions double as dependency order, so every caller must sit
+  // before each of its callees, and every procedure must appear once.
+  for (const std::string& src :
+       {bench::dgefa(16), bench::call_chain(10, 32),
+        bench::chain_fanout(6, 8, 64), bench::cloning_fanout(8, 4, 32)}) {
+    BoundProgram bp = parse_and_bind(src);
+    AugmentedCallGraph acg = AugmentedCallGraph::build(bp);
+    const std::vector<int>& order = acg.topological_indices();
+    ASSERT_EQ(order.size(), bp.ast.procedures.size());
+    std::map<int, size_t> position;
+    for (size_t p = 0; p < order.size(); ++p) {
+      EXPECT_EQ(position.count(order[p]), 0u) << "index " << order[p];
+      position[order[p]] = p;
     }
-  EXPECT_EQ(level_of.size(), bp.ast.procedures.size());
-
-  for (const CallSiteInfo& site : ctx.acg.call_sites()) {
-    int caller = ctx.acg.procedure_index(site.caller);
-    int callee = ctx.acg.procedure_index(site.callee);
-    EXPECT_LT(level_of.at(caller), level_of.at(callee))
-        << site.caller << " -> " << site.callee;
+    for (const CallSiteInfo& site : acg.call_sites())
+      EXPECT_LT(position.at(acg.procedure_index(site.caller)),
+                position.at(acg.procedure_index(site.callee)))
+          << site.caller << " -> " << site.callee;
+    EXPECT_TRUE(bp.ast.procedures[static_cast<size_t>(order.front())]
+                    ->is_program);
   }
-
-  // main alone at level 0, the four BLAS leaves below it.
-  ASSERT_EQ(levels.size(), 2u);
-  EXPECT_EQ(levels[0].size(), 1u);
-  EXPECT_EQ(levels[0][0], ctx.acg.procedure_index("main"));
-  EXPECT_EQ(levels[1].size(), 4u);
-}
-
-TEST(TopDownLevels, ConcatenationIsATopologicalOrder) {
-  BoundProgram bp = parse_and_bind(bench::call_chain(10, 32));
-  IpaContext ctx = run_ipa(bp);
-  std::vector<int> flat;
-  for (const auto& level : ctx.acg.top_down_levels())
-    for (int idx : level) flat.push_back(idx);
-  EXPECT_EQ(flat, ctx.acg.topological_indices());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,21 +1,30 @@
-// Compile-as-a-service tests: the resident fortdd daemon (CompileService),
-// its thin client, warm-session recompilation guarantees, admission
-// control, graceful drain, and the concurrent-batch ThreadPool contract
-// the shared-pool design rests on.
+// Compile-as-a-service tests: the frame codec and wire protocol, the
+// resident fortdd daemon (CompileService), its thin client and endpoint
+// parser, warm-session recompilation guarantees on every cache tier and
+// across a cache directory shared by fortdc and fortdd, admission
+// control, graceful drain, the client against a scripted daemon that
+// misbehaves in every way it can, fortdc -server end to end, and the
+// concurrent-batch ThreadPool contract the shared-pool design rests on.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "../bench/programs.hpp"
 #include "codegen/spmd_printer.hpp"
+#include "cache_dir.hpp"
 #include "driver/compiler.hpp"
-#include "fleet_harness.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "service/client.hpp"
@@ -24,7 +33,7 @@
 namespace fortd {
 namespace {
 
-using fleet_test::fresh_cache_dir;
+using test::fresh_cache_dir;
 
 /// One CompileService over a fresh cache directory on an ephemeral port.
 struct TestService {
@@ -70,6 +79,224 @@ uint64_t json_uint(const std::string& json, const std::string& key) {
   return std::strtoull(json.c_str() + pos + key.size() + 3, nullptr, 10);
 }
 
+/// One whole frame from `sock` within `timeout_ms`; nullopt on EOF, a
+/// socket error, a corrupt stream or the timeout.
+std::optional<std::vector<uint8_t>> read_frame(net::Socket& sock,
+                                               net::FrameDecoder& decoder,
+                                               int timeout_ms = 10000) {
+  for (;;) {
+    if (auto frame = decoder.next()) return frame;
+    if (decoder.failed()) return std::nullopt;
+    uint8_t buf[4096];
+    size_t got = 0;
+    if (sock.recv_some(buf, sizeof(buf), got, timeout_ms) != net::IoStatus::Ok)
+      return std::nullopt;
+    decoder.feed(buf, got);
+  }
+}
+
+std::optional<remote::WireMessage> read_message(net::Socket& sock,
+                                                net::FrameDecoder& decoder,
+                                                int timeout_ms = 10000) {
+  auto frame = read_frame(sock, decoder, timeout_ms);
+  if (!frame) return std::nullopt;
+  return remote::decode_message(*frame);
+}
+
+bool write_message(net::Socket& sock, const remote::WireMessage& msg) {
+  std::vector<uint8_t> framed;
+  return net::encode_frame(framed, remote::encode_message(msg)) &&
+         sock.send_all(framed.data(), framed.size(), 10000) ==
+             net::IoStatus::Ok;
+}
+
+// ---------------------------------------------------------------------------
+// Frame codec
+// ---------------------------------------------------------------------------
+
+TEST(FrameCodec, DecodesByteAtATime) {
+  std::vector<uint8_t> payload;
+  for (int i = 0; i < 300; ++i) payload.push_back(static_cast<uint8_t>(i));
+  std::vector<uint8_t> wire;
+  net::encode_frame(wire, payload);
+  net::encode_frame(wire, {});  // an empty frame is legal
+
+  net::FrameDecoder dec;
+  std::vector<std::vector<uint8_t>> frames;
+  for (uint8_t b : wire) {
+    dec.feed(&b, 1);
+    while (auto f = dec.next()) frames.push_back(*f);
+  }
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0], payload);
+  EXPECT_TRUE(frames[1].empty());
+  EXPECT_FALSE(dec.failed());
+  EXPECT_EQ(dec.buffered(), 0u);
+}
+
+TEST(FrameCodec, CoalescedFramesDecodeInOrder) {
+  std::vector<uint8_t> wire;
+  for (int i = 0; i < 5; ++i)
+    net::encode_frame(wire, std::vector<uint8_t>(i * 10, static_cast<uint8_t>(i)));
+  net::FrameDecoder dec;
+  dec.feed(wire.data(), wire.size());
+  for (int i = 0; i < 5; ++i) {
+    auto f = dec.next();
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(f->size(), static_cast<size_t>(i * 10));
+  }
+  EXPECT_FALSE(dec.next().has_value());
+}
+
+TEST(FrameCodec, EncodeRefusesOversizePayload) {
+  // The sender must enforce the same ceiling the decoder does: framing an
+  // oversize payload would only sticky-fail the receiver and kill the
+  // connection as a misleading "garbled reply".
+  std::vector<uint8_t> wire;
+  std::vector<uint8_t> big(net::kMaxFramePayload + 1);
+  EXPECT_FALSE(net::encode_frame(wire, big));
+  EXPECT_TRUE(wire.empty()) << "a refused frame must not emit bytes";
+  EXPECT_TRUE(net::encode_frame(wire, {1, 2, 3}));
+  EXPECT_FALSE(wire.empty());
+}
+
+TEST(FrameCodec, OversizedLengthFailsSticky) {
+  // Varint for 1 GiB, far above kMaxFramePayload.
+  std::vector<uint8_t> wire;
+  uint64_t v = 1ull << 30;
+  while (v >= 0x80) {
+    wire.push_back(static_cast<uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  wire.push_back(static_cast<uint8_t>(v));
+  net::FrameDecoder dec;
+  dec.feed(wire.data(), wire.size());
+  EXPECT_FALSE(dec.next().has_value());
+  EXPECT_TRUE(dec.failed());
+  dec.feed(wire.data(), wire.size());  // no-op once failed
+  EXPECT_FALSE(dec.next().has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Protocol messages
+// ---------------------------------------------------------------------------
+
+TEST(RemoteProtocol, RoundTripsEveryMessageType) {
+  using remote::MsgType;
+  using remote::WireMessage;
+  std::vector<WireMessage> messages;
+  {
+    WireMessage m;
+    m.type = MsgType::Hello;
+    m.format_hash = remote::remote_wire_format_hash();
+    messages.push_back(m);
+  }
+  for (MsgType t : {MsgType::HelloOk, MsgType::Drain, MsgType::DrainOk,
+                    MsgType::Metrics}) {
+    WireMessage m;
+    m.type = t;
+    messages.push_back(m);
+  }
+  for (MsgType t : {MsgType::HelloReject, MsgType::Error, MsgType::MetricsOk}) {
+    WireMessage m;
+    m.type = t;
+    m.text = "some reason \"quoted\"";
+    messages.push_back(m);
+  }
+  {
+    WireMessage m;
+    m.type = MsgType::Compile;
+    m.text = "      program p\n      end\n";
+    m.copts = {7, 2, 1, 1, 1, 1, 1234};
+    messages.push_back(m);
+  }
+  {
+    WireMessage m;
+    m.type = MsgType::CompileReply;
+    m.creply = {1, 2, 3, 4, 5, "spmd", "diags", "[]", "{}"};
+    messages.push_back(m);
+  }
+
+  // Every message carries a request id; ids must survive the codec for
+  // every type.
+  for (size_t i = 0; i < messages.size(); ++i)
+    messages[i].request_id = i * 1000003 + 1;
+
+  for (const auto& m : messages) {
+    auto decoded = remote::decode_message(remote::encode_message(m));
+    ASSERT_TRUE(decoded.has_value())
+        << "type " << static_cast<int>(m.type);
+    EXPECT_EQ(decoded->type, m.type);
+    EXPECT_EQ(decoded->request_id, m.request_id);
+    EXPECT_EQ(decoded->format_hash, m.format_hash);
+    EXPECT_EQ(decoded->text, m.text);
+    const remote::CompileOptionsWire& o = decoded->copts;
+    EXPECT_EQ(o.n_procs, m.copts.n_procs);
+    EXPECT_EQ(o.strategy, m.copts.strategy);
+    EXPECT_EQ(o.dyn_decomp, m.copts.dyn_decomp);
+    EXPECT_EQ(o.analyze, m.copts.analyze);
+    EXPECT_EQ(o.want_lint_json, m.copts.want_lint_json);
+    EXPECT_EQ(o.want_timings, m.copts.want_timings);
+    EXPECT_EQ(o.deadline_ms, m.copts.deadline_ms);
+    const remote::CompileReplyWire& r = decoded->creply;
+    EXPECT_EQ(r.status, m.creply.status);
+    EXPECT_EQ(r.findings, m.creply.findings);
+    EXPECT_EQ(r.parsed_procedures, m.creply.parsed_procedures);
+    EXPECT_EQ(r.generated, m.creply.generated);
+    EXPECT_EQ(r.summaries_computed, m.creply.summaries_computed);
+    EXPECT_EQ(r.spmd, m.creply.spmd);
+    EXPECT_EQ(r.diagnostics, m.creply.diagnostics);
+    EXPECT_EQ(r.lint_json, m.creply.lint_json);
+    EXPECT_EQ(r.timings_json, m.creply.timings_json);
+  }
+}
+
+TEST(RemoteProtocol, RejectsGarbageAndTrailingBytes) {
+  EXPECT_FALSE(remote::decode_message({}).has_value());
+  EXPECT_FALSE(remote::decode_message({0}).has_value());
+  EXPECT_FALSE(remote::decode_message({200}).has_value());
+  remote::WireMessage m;
+  m.type = remote::MsgType::HelloOk;
+  auto bytes = remote::encode_message(m);
+  bytes.push_back(0);  // trailing garbage
+  EXPECT_FALSE(remote::decode_message(bytes).has_value());
+}
+
+TEST(RemoteProtocol, RemovedCacheMessageTypesDecodeAsMalformed) {
+  // Type bytes 4..13 carried the removed cache-fleet messages. A frame
+  // that is well formed in every other respect must still decode to
+  // nothing: a request id and, for good measure, some trailing payload.
+  for (uint8_t type = 4; type <= 13; ++type) {
+    EXPECT_FALSE(remote::decode_message({type, 1}).has_value())
+        << "type " << int(type);
+    EXPECT_FALSE(remote::decode_message({type, 1, 0, 0}).has_value())
+        << "type " << int(type);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// fortdc -server endpoint parsing
+// ---------------------------------------------------------------------------
+
+TEST(ServerEndpoint, ParsesHostAndPortAndRejectsMalformedPorts) {
+  auto ep = service::parse_server_endpoint("example:4815");
+  ASSERT_TRUE(ep.has_value());
+  EXPECT_EQ(ep->host, "example");
+  EXPECT_EQ(ep->port, 4815);
+  ep = service::parse_server_endpoint("4815");
+  ASSERT_TRUE(ep.has_value());
+  EXPECT_EQ(ep->host, service::ClientOptions{}.host);
+  EXPECT_EQ(ep->port, 4815);
+  ep = service::parse_server_endpoint(":4816");
+  ASSERT_TRUE(ep.has_value());
+  EXPECT_EQ(ep->port, 4816);
+
+  for (const char* bad : {"", "example:", "example:notaport",
+                          "example:99999", "example:0", "host:9x",
+                          "127.0.0.1:9x", "example:-1"})
+    EXPECT_FALSE(service::parse_server_endpoint(bad).has_value()) << bad;
+}
+
 // ---------------------------------------------------------------------------
 // Warm-session recompilation guarantees (the §8 contract, over a socket)
 // ---------------------------------------------------------------------------
@@ -113,6 +340,87 @@ TEST(CompileService, OneOfThirtyTwoEditRecompilesExactlyOneProcedure) {
   EXPECT_EQ(edited->generated, 1u);
   EXPECT_EQ(edited->summaries_computed, 1u);
   EXPECT_EQ(edited->spmd, local_spmd(bench::fan_out(32, 64, 1)));
+}
+
+/// A leaf whose only difference between two versions is one real
+/// constant, changed by less than 1/4096.
+std::string leaf_with_coefficient(const std::string& coeff) {
+  return R"(
+      program p
+      real a(100)
+      integer i
+      distribute a(block)
+      do i = 1, 100
+        a(i) = i
+      enddo
+      call leaf(a)
+      end
+
+      subroutine leaf(a)
+      real a(100)
+      integer i
+      do i = 1, 98
+        a(i) = )" + coeff + R"(*a(i+2)
+      enddo
+      end
+)";
+}
+
+TEST(RecompilationDigest, SmallRealConstantEditRegeneratesOnEveryTier) {
+  // The procedure digest must tell 0.9675 from 0.9674 on every tier: the
+  // edit regenerates the leaf (and only the leaf) and the listing prints
+  // the new constant, exactly as a cold compile does.
+  const std::string before = leaf_with_coefficient("0.9675");
+  const std::string after = leaf_with_coefficient("0.9674");
+  const std::string reference = local_spmd(after);
+  ASSERT_NE(reference.find("0.9674"), std::string::npos) << reference;
+  CodegenOptions opt;
+  opt.n_procs = 4;
+
+  {  // memory tier: one Compiler across both compiles
+    Compiler compiler(opt);
+    compiler.compile_source(before);
+    CompileResult r = compiler.compile_source(after);
+    EXPECT_EQ(r.regenerated, std::vector<std::string>{"leaf"});
+    EXPECT_EQ(print_spmd(r.spmd), reference);
+  }
+  {  // disk tier: a fresh Compiler on the same directory
+    const std::string dir = fresh_cache_dir("real_edit_disk");
+    Compiler(opt, {}, {}, CacheOptions{dir}).compile_source(before);
+    Compiler warm(opt, {}, {}, CacheOptions{dir});
+    CompileResult r = warm.compile_source(after);
+    EXPECT_EQ(r.regenerated, std::vector<std::string>{"leaf"});
+    EXPECT_EQ(print_spmd(r.spmd), reference);
+  }
+  {  // fortdd: one resident session
+    TestService ts("real_edit");
+    auto client = ts.client();
+    std::string reason;
+    ASSERT_TRUE(client.compile(before, wire_options(), &reason)) << reason;
+    auto r = client.compile(after, wire_options(), &reason);
+    ASSERT_TRUE(r) << reason;
+    EXPECT_EQ(r->generated, 1u);
+    EXPECT_EQ(r->spmd, reference);
+  }
+}
+
+TEST(RecompilationDigest, RealConstantEditsRegenerateAtEveryMagnitude) {
+  // A fixed-point hash folds every constant below its resolution to one
+  // value and overflows on large ones. Hashing the exact bits must tell
+  // each of these pairs apart.
+  CodegenOptions opt;
+  opt.n_procs = 4;
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"0.0001", "0.0002"}, {"1.0e-30", "2.0e-30"}, {"3.0e30", "4.0e30"}};
+  for (const auto& [before, after] : edits) {
+    Compiler compiler(opt);
+    compiler.compile_source(leaf_with_coefficient(before));
+    CompileResult r = compiler.compile_source(leaf_with_coefficient(after));
+    EXPECT_EQ(r.regenerated, std::vector<std::string>{"leaf"})
+        << before << " -> " << after;
+    EXPECT_EQ(print_spmd(r.spmd), local_spmd(leaf_with_coefficient(after)))
+        << before << " -> " << after;
+  }
 }
 
 TEST(CompileService, RestartedDaemonIsWarmFromDisk) {
@@ -164,6 +472,72 @@ TEST(CompileService, SessionEvictionKeepsOptionKeyedOutputsCorrect) {
   const auto sessions = json.substr(json.find("\"sessions\""));
   EXPECT_GE(json_uint(sessions, "evictions"), 1u);
 }
+
+// fortdc -cache-dir and fortdd -cache-dir read and write one store: the
+// digests of a served compile and of a local one must agree, at any jobs.
+class ServiceCacheDir : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServiceCacheDir, LocalBuildWarmsTheDaemon) {
+  const int jobs = GetParam();
+  const std::string tag = "local_warms_daemon_j" + std::to_string(jobs);
+  const std::string dir = fresh_cache_dir(tag);
+  const std::string src = bench::fan_out(32, 64);
+  CodegenOptions opt;
+  opt.n_procs = 4;
+  opt.jobs = jobs;
+  const std::string local = print_spmd(
+      Compiler(opt, {}, {}, CacheOptions{dir}).compile_source(src).spmd);
+
+  service::ServiceOptions sopt;
+  sopt.cache_dir = dir;
+  sopt.jobs = jobs;
+  TestService ts(tag, sopt);
+  auto client = ts.client();
+  std::string reason;
+  auto r = client.compile(src, wire_options(), &reason);
+  ASSERT_TRUE(r) << reason;
+  EXPECT_EQ(r->generated, 0u);
+  EXPECT_EQ(r->summaries_computed, 0u);
+  EXPECT_EQ(r->spmd, local);
+
+  const std::string edited_src = bench::fan_out(32, 64, /*edited_leaf=*/7);
+  auto edited = client.compile(edited_src, wire_options(), &reason);
+  ASSERT_TRUE(edited) << reason;
+  EXPECT_EQ(edited->generated, 1u);
+  EXPECT_EQ(edited->summaries_computed, 1u);
+  EXPECT_EQ(edited->spmd, local_spmd(edited_src));
+}
+
+TEST_P(ServiceCacheDir, DaemonBuildWarmsALocalCompile) {
+  const int jobs = GetParam();
+  const std::string tag = "daemon_warms_local_j" + std::to_string(jobs);
+  const std::string dir = fresh_cache_dir(tag);
+  const std::string src = bench::fan_out(32, 64);
+  std::string served;
+  {
+    service::ServiceOptions sopt;
+    sopt.cache_dir = dir;
+    sopt.jobs = jobs;
+    TestService ts(tag, sopt);
+    std::string reason;
+    auto r = ts.client().compile(src, wire_options(), &reason);
+    ASSERT_TRUE(r) << reason;
+    EXPECT_EQ(r->generated, 33u);
+    served = r->spmd;
+    ts.svc->drain();
+    ts.svc->stop();
+  }
+  CodegenOptions opt;
+  opt.n_procs = 4;
+  opt.jobs = jobs;
+  Compiler compiler(opt, {}, {}, CacheOptions{dir});
+  CompileResult warm = compiler.compile_source(src);
+  EXPECT_EQ(warm.stats.generated, 0);
+  EXPECT_EQ(warm.stats.summaries_computed, 0);
+  EXPECT_EQ(print_spmd(warm.spmd), served);
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, ServiceCacheDir, ::testing::Values(1, 4));
 
 // ---------------------------------------------------------------------------
 // Failure semantics
@@ -260,6 +634,66 @@ TEST(CompileService, QueuedRequestPastItsDeadlineIsDroppedNotCompiled) {
   EXPECT_GE(json_uint(ts.svc->metrics_json(), "deadline_expired"), 1u);
 }
 
+TEST(CompileService, DefaultDeadlineBoundsRequestsThatCarryNone) {
+  // CompileClient always sends a deadline, but the wire allows none: the
+  // daemon's default must then bound the queue wait instead.
+  std::promise<void> release;
+  auto released = release.get_future().share();
+  std::atomic<int> compiles{0};
+  service::ServiceOptions opt;
+  opt.executors = 1;
+  opt.default_deadline_ms = 50;
+  opt.before_compile = [&] {
+    if (compiles.fetch_add(1) == 0) released.wait();
+  };
+  TestService ts("default_deadline", opt);
+
+  std::thread hog([&] {
+    std::string reason;
+    auto r = ts.client().compile(bench::fan_out(2, 64), wire_options(), &reason);
+    EXPECT_TRUE(r) << reason;
+  });
+  while (compiles.load() == 0) std::this_thread::yield();
+
+  // A raw client: handshake, then a COMPILE whose deadline_ms is 0.
+  auto sock = net::connect_to("127.0.0.1", ts.svc->port(), 5000);
+  net::FrameDecoder decoder;
+  bool sent = false;
+  if (sock) {
+    remote::WireMessage hello;
+    hello.type = remote::MsgType::Hello;
+    hello.format_hash = remote::remote_wire_format_hash();
+    auto hello_ok = write_message(*sock, hello)
+                        ? read_message(*sock, decoder)
+                        : std::nullopt;
+    remote::WireMessage req;
+    req.type = remote::MsgType::Compile;
+    req.request_id = 9;
+    req.text = bench::fan_out(2, 64);
+    req.copts = wire_options();
+    sent = hello_ok && hello_ok->type == remote::MsgType::HelloOk &&
+           write_message(*sock, req);
+  }
+  // Once the request is admitted, outwait its default deadline in the
+  // queue, then free the executor.
+  for (int spin = 0; sent && spin < 400; ++spin) {
+    if (json_uint(ts.svc->metrics_json(), "requests") >= 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  release.set_value();
+  hog.join();
+
+  ASSERT_TRUE(sent);
+  auto reply = read_message(*sock, decoder, 30000);
+  ASSERT_TRUE(reply);
+  EXPECT_EQ(reply->type, remote::MsgType::CompileReply);
+  EXPECT_EQ(reply->request_id, 9u);
+  EXPECT_EQ(static_cast<remote::CompileStatus>(reply->creply.status),
+            remote::CompileStatus::DeadlineExpired);
+  EXPECT_EQ(compiles.load(), 1) << "the expired request must not compile";
+}
+
 TEST(CompileService, DrainFinishesInFlightWorkThenRefusesNewRequests) {
   TestService ts("drain");
   auto client = ts.client();
@@ -281,6 +715,9 @@ TEST(CompileService, ClientGoneBeforeReplyIsCountedNotFatal) {
   const std::string src = bench::fan_out(8, 64);
   {
     // Handshake, send a COMPILE, vanish before the reply can be written.
+    // The client reads HELLO_OK first: closing a socket with unread data
+    // resets the connection, and the reset may discard the COMPILE
+    // before the daemon ever reads it.
     auto sock = net::connect_to("127.0.0.1", ts.svc->port(), 2000);
     ASSERT_TRUE(sock);
     remote::WireMessage hello;
@@ -290,11 +727,24 @@ TEST(CompileService, ClientGoneBeforeReplyIsCountedNotFatal) {
     ASSERT_TRUE(net::encode_frame(framed, encode_message(hello)));
     ASSERT_EQ(sock->send_all(framed.data(), framed.size(), 2000),
               net::IoStatus::Ok);
+    net::FrameDecoder decoder;
+    std::optional<std::vector<uint8_t>> reply;
+    while (!(reply = decoder.next())) {
+      uint8_t buf[256];
+      size_t got = 0;
+      ASSERT_EQ(sock->recv_some(buf, sizeof(buf), got, 2000),
+                net::IoStatus::Ok);
+      decoder.feed(buf, got);
+    }
+    auto hello_ok = remote::decode_message(*reply);
+    ASSERT_TRUE(hello_ok);
+    ASSERT_EQ(hello_ok->type, remote::MsgType::HelloOk);
     remote::WireMessage req;
     req.type = remote::MsgType::Compile;
     req.request_id = 7;
     req.text = src;
     req.copts = wire_options();
+    framed.clear();
     ASSERT_TRUE(net::encode_frame(framed, encode_message(req)));
     ASSERT_EQ(sock->send_all(framed.data(), framed.size(), 2000),
               net::IoStatus::Ok);
@@ -339,6 +789,249 @@ TEST(CompileService, MetricsReportPhaseTotalsAndPeaks) {
   EXPECT_GE(json_uint(*metrics, "in_flight_peak"), 1u);
   EXPECT_NE(metrics->find("\"ast_cache\""), std::string::npos);
   EXPECT_NE(metrics->find("\"sessions\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// CompileClient against a scripted daemon: every failure is a reason
+// ---------------------------------------------------------------------------
+
+/// A stand-in for fortdd on an ephemeral port. Its thread accepts
+/// `connections` connections one after another and runs `script` on
+/// each; join() (or the destructor) waits for the last one to finish.
+class ScriptedDaemon {
+ public:
+  using Script = std::function<void(net::Socket&, net::FrameDecoder&)>;
+
+  explicit ScriptedDaemon(Script script, int connections = 1) {
+    EXPECT_TRUE(listener_.listen_on("127.0.0.1", 0));
+    thread_ = std::thread([this, script = std::move(script), connections] {
+      for (int c = 0; c < connections; ++c) {
+        auto sock = accept_within(std::chrono::seconds(10));
+        if (!sock) return;
+        net::FrameDecoder decoder;
+        script(*sock, decoder);
+      }
+    });
+  }
+  ~ScriptedDaemon() { join(); }
+
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  service::CompileClient client(int timeout_ms = 5000) const {
+    service::ClientOptions copt;
+    copt.port = listener_.port();
+    copt.timeout_ms = timeout_ms;
+    return service::CompileClient(copt);
+  }
+
+ private:
+  std::optional<net::Socket> accept_within(std::chrono::milliseconds budget) {
+    const auto deadline = std::chrono::steady_clock::now() + budget;
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (auto sock = listener_.accept_conn()) return sock;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return std::nullopt;
+  }
+
+  net::Listener listener_;
+  std::thread thread_;
+};
+
+/// Read the client's HELLO and accept it.
+bool accept_hello(net::Socket& sock, net::FrameDecoder& decoder) {
+  auto hello = read_message(sock, decoder);
+  if (!hello || hello->type != remote::MsgType::Hello) return false;
+  remote::WireMessage ok;
+  ok.type = remote::MsgType::HelloOk;
+  return write_message(sock, ok);
+}
+
+/// Block until the client hangs up (or 10 s pass), so the daemon side
+/// never closes first with bytes in flight.
+void await_hangup(net::Socket& sock) {
+  uint8_t buf[256];
+  size_t got = 0;
+  while (sock.recv_some(buf, sizeof(buf), got, 10000) == net::IoStatus::Ok) {
+  }
+}
+
+/// Handshake and take one request, then answer it with `reply_bytes`
+/// sent raw (no framing added) and wait for the hang-up.
+ScriptedDaemon::Script answer_raw(std::vector<uint8_t> reply_bytes) {
+  return [reply_bytes](net::Socket& sock, net::FrameDecoder& decoder) {
+    if (!accept_hello(sock, decoder) || !read_frame(sock, decoder)) return;
+    sock.send_all(reply_bytes.data(), reply_bytes.size(), 10000);
+    await_hangup(sock);
+  };
+}
+
+std::vector<uint8_t> framed(const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> out;
+  net::encode_frame(out, payload);
+  return out;
+}
+
+TEST(CompileClient, DaemonClosingBeforeTheReplyYieldsReason) {
+  // The daemon takes the COMPILE and dies before answering.
+  ScriptedDaemon daemon([](net::Socket& sock, net::FrameDecoder& decoder) {
+    if (accept_hello(sock, decoder)) (void)read_frame(sock, decoder);
+  });
+  std::string reason;
+  EXPECT_FALSE(daemon.client().compile(bench::fan_out(2, 64), wire_options(),
+                                       &reason));
+  EXPECT_NE(reason.find("closed"), std::string::npos) << reason;
+}
+
+TEST(CompileClient, StalledReplyTimesOutWithinItsBudget) {
+  ScriptedDaemon daemon([](net::Socket& sock, net::FrameDecoder& decoder) {
+    if (!accept_hello(sock, decoder) || !read_frame(sock, decoder)) return;
+    await_hangup(sock);  // never answer
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string reason;
+  EXPECT_FALSE(daemon.client(/*timeout_ms=*/500)
+                   .compile(bench::fan_out(2, 64), wire_options(), &reason));
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_NE(reason.find("timed out"), std::string::npos) << reason;
+  EXPECT_LT(waited, std::chrono::seconds(8))
+      << "the client must give up at its budget, not hang on the daemon";
+}
+
+TEST(CompileClient, MalformedReplyYieldsReason) {
+  ScriptedDaemon daemon(answer_raw(framed({200, 1, 2, 3})));
+  std::string reason;
+  EXPECT_FALSE(daemon.client().compile(bench::fan_out(2, 64), wire_options(),
+                                       &reason));
+  EXPECT_NE(reason.find("malformed"), std::string::npos) << reason;
+}
+
+TEST(CompileClient, CorruptReplyStreamYieldsReason) {
+  // A frame header declaring 1 GiB, far beyond the frame ceiling.
+  std::vector<uint8_t> header;
+  uint64_t v = 1ull << 30;
+  while (v >= 0x80) {
+    header.push_back(static_cast<uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  header.push_back(static_cast<uint8_t>(v));
+  ScriptedDaemon daemon(answer_raw(header));
+  std::string reason;
+  EXPECT_FALSE(daemon.client().compile(bench::fan_out(2, 64), wire_options(),
+                                       &reason));
+  EXPECT_NE(reason.find("corrupt"), std::string::npos) << reason;
+}
+
+TEST(CompileClient, UnexpectedHandshakeReplyYieldsReason) {
+  ScriptedDaemon daemon([](net::Socket& sock, net::FrameDecoder& decoder) {
+    if (!read_frame(sock, decoder)) return;
+    remote::WireMessage err;
+    err.type = remote::MsgType::Error;
+    err.text = "not a compile daemon";
+    write_message(sock, err);
+    await_hangup(sock);
+  });
+  std::string reason;
+  EXPECT_FALSE(daemon.client().compile(bench::fan_out(2, 64), wire_options(),
+                                       &reason));
+  EXPECT_NE(reason.find("handshake"), std::string::npos) << reason;
+}
+
+TEST(CompileClient, WrongReplyTypeIsNotAccepted) {
+  // Each request kind gets a well-formed reply of another kind: COMPILE
+  // a METRICS_OK, METRICS a DRAIN_OK, DRAIN a COMPILE_REPLY.
+  ScriptedDaemon daemon(
+      [](net::Socket& sock, net::FrameDecoder& decoder) {
+        if (!accept_hello(sock, decoder)) return;
+        auto req = read_message(sock, decoder);
+        if (!req) return;
+        remote::WireMessage reply;
+        reply.request_id = req->request_id;
+        reply.type = req->type == remote::MsgType::Compile
+                         ? remote::MsgType::MetricsOk
+                     : req->type == remote::MsgType::Metrics
+                         ? remote::MsgType::DrainOk
+                         : remote::MsgType::CompileReply;
+        write_message(sock, reply);
+        await_hangup(sock);
+      },
+      /*connections=*/3);
+  auto client = daemon.client();
+  std::string reason;
+  EXPECT_FALSE(client.compile(bench::fan_out(2, 64), wire_options(), &reason));
+  EXPECT_NE(reason.find("unexpected reply type"), std::string::npos) << reason;
+  reason.clear();
+  EXPECT_FALSE(client.fetch_metrics(&reason));
+  EXPECT_NE(reason.find("unexpected reply type"), std::string::npos) << reason;
+  reason.clear();
+  EXPECT_FALSE(client.drain(&reason));
+  EXPECT_NE(reason.find("unexpected reply type"), std::string::npos) << reason;
+}
+
+TEST(CompileClient, UnknownReplyStatusYieldsReason) {
+  remote::WireMessage reply;
+  reply.type = remote::MsgType::CompileReply;
+  reply.request_id = 1;
+  reply.creply.status = 200;
+  reply.creply.spmd = "must not be printed";
+  ScriptedDaemon daemon(answer_raw(framed(remote::encode_message(reply))));
+  std::string reason;
+  EXPECT_FALSE(daemon.client().compile(bench::fan_out(2, 64), wire_options(),
+                                       &reason));
+  EXPECT_NE(reason.find("unknown reply status"), std::string::npos) << reason;
+}
+
+TEST(CompileClient, ReplyArrivingInSmallPiecesIsReassembled) {
+  // The handshake reply goes out a byte at a time and the compile reply
+  // in 7-byte pieces; the client must reassemble both. The daemon also
+  // records the request: the client fills in its own budget as the
+  // deadline when the caller gave none.
+  remote::WireMessage reply;
+  reply.type = remote::MsgType::CompileReply;
+  reply.request_id = 1;
+  reply.creply.status = static_cast<uint8_t>(remote::CompileStatus::Ok);
+  reply.creply.generated = 3;
+  reply.creply.spmd = std::string(5000, 'x') + "\nend\n";
+  reply.creply.diagnostics = "warning: none";
+  const std::vector<uint8_t> reply_bytes =
+      framed(remote::encode_message(reply));
+  remote::WireMessage hello_ok;
+  hello_ok.type = remote::MsgType::HelloOk;
+  const std::vector<uint8_t> hello_bytes =
+      framed(remote::encode_message(hello_ok));
+
+  std::optional<remote::WireMessage> request;
+  ScriptedDaemon daemon([&](net::Socket& sock, net::FrameDecoder& decoder) {
+    auto hello = read_message(sock, decoder);
+    if (!hello || hello->type != remote::MsgType::Hello) return;
+    for (uint8_t b : hello_bytes)
+      if (sock.send_all(&b, 1, 10000) != net::IoStatus::Ok) return;
+    request = read_message(sock, decoder);
+    if (!request) return;
+    for (size_t at = 0; at < reply_bytes.size(); at += 7) {
+      const size_t n = std::min<size_t>(7, reply_bytes.size() - at);
+      if (sock.send_all(reply_bytes.data() + at, n, 10000) !=
+          net::IoStatus::Ok)
+        return;
+    }
+    await_hangup(sock);
+  });
+  const std::string src = bench::fan_out(2, 64);
+  std::string reason;
+  auto r = daemon.client(/*timeout_ms=*/20000)
+               .compile(src, wire_options(), &reason);
+  daemon.join();
+  ASSERT_TRUE(r) << reason;
+  EXPECT_EQ(r->spmd, reply.creply.spmd);
+  EXPECT_EQ(r->diagnostics, reply.creply.diagnostics);
+  EXPECT_EQ(r->generated, 3u);
+  ASSERT_TRUE(request);
+  EXPECT_EQ(request->type, remote::MsgType::Compile);
+  EXPECT_EQ(request->text, src);
+  EXPECT_EQ(request->copts.n_procs, 4u);
+  EXPECT_EQ(request->copts.deadline_ms, 20000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -398,6 +1091,101 @@ TEST_P(ServiceSoak, ConcurrentClientsGetByteIdenticalOutputs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, ServiceSoak, ::testing::Values(1, 4));
+
+// ---------------------------------------------------------------------------
+// fortdc -server end to end (the CLI as a process)
+// ---------------------------------------------------------------------------
+
+struct FortdcRun {
+  int exit_code = -1;  // -1: died on a signal
+  std::string out;
+  std::string err;
+};
+
+std::string slurp_text(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// Run fortdc with `args` on `source`, capturing its exit code, stdout
+/// and stderr.
+FortdcRun run_fortdc(const std::string& tag, const std::string& args,
+                     const std::string& source) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fresh_cache_dir("fortdc_" + tag);
+  std::ofstream(dir / "in.fd") << source;
+  const std::string cmd = std::string(FORTD_FORTDC_PATH) + " " + args + " " +
+                          (dir / "in.fd").string() + " > " +
+                          (dir / "out").string() + " 2> " +
+                          (dir / "err").string();
+  const int status = std::system(cmd.c_str());
+  FortdcRun run;
+  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  run.out = slurp_text(dir / "out");
+  run.err = slurp_text(dir / "err");
+  return run;
+}
+
+TEST(FortdcServer, MalformedPortExitsTwoWithoutCompiling) {
+  // "9x" once read as port 9: fortdc connected there, warned and compiled
+  // locally with exit 0.
+  const FortdcRun run =
+      run_fortdc("bad_port", "-server 127.0.0.1:9x", bench::fan_out(2, 64));
+  EXPECT_EQ(run.exit_code, 2) << run.err;
+  EXPECT_TRUE(run.out.empty()) << run.out;
+  EXPECT_NE(run.err.find("HOST:PORT"), std::string::npos) << run.err;
+}
+
+TEST(FortdcServer, UnreachableDaemonFallsBackToLocalByteIdentically) {
+  net::Listener probe;
+  ASSERT_TRUE(probe.listen_on("127.0.0.1", 0));
+  const int dead_port = probe.port();
+  probe.close();
+  const std::string src = bench::fan_out(4, 64);
+  const FortdcRun local = run_fortdc("fallback_local", "-p 2", src);
+  const FortdcRun fallback = run_fortdc(
+      "fallback_served",
+      "-p 2 -server-timeout-ms 5000 -server 127.0.0.1:" +
+          std::to_string(dead_port),
+      src);
+  ASSERT_EQ(local.exit_code, 0) << local.err;
+  EXPECT_EQ(fallback.exit_code, 0) << fallback.err;
+  EXPECT_FALSE(local.out.empty());
+  EXPECT_EQ(fallback.out, local.out);
+  EXPECT_NE(fallback.err.find("compiling locally"), std::string::npos)
+      << fallback.err;
+}
+
+TEST(FortdcServer, ServedListingMatchesLocalListing) {
+  TestService ts("fortdc_served");
+  const std::string src = bench::fan_out(4, 64);
+  const FortdcRun local = run_fortdc("served_local", "-p 2", src);
+  const FortdcRun served = run_fortdc(
+      "served", "-p 2 -server 127.0.0.1:" + std::to_string(ts.svc->port()),
+      src);
+  ASSERT_EQ(local.exit_code, 0) << local.err;
+  EXPECT_EQ(served.exit_code, 0) << served.err;
+  EXPECT_FALSE(local.out.empty());
+  EXPECT_EQ(served.out, local.out);
+  EXPECT_EQ(served.err.find("warning"), std::string::npos) << served.err;
+  EXPECT_EQ(json_uint(ts.svc->metrics_json(), "ok"), 1u);
+}
+
+TEST(FortdcServer, DaemonCompileFailureExitsOneWithoutLocalFallback) {
+  // A program the daemon rejects fails exactly as a local compile would:
+  // exit 1 with the daemon's diagnostics, and no second, local attempt.
+  TestService ts("fortdc_fail");
+  const FortdcRun run = run_fortdc(
+      "served_fail", "-server 127.0.0.1:" + std::to_string(ts.svc->port()),
+      "program p1\n  this is not fortran d\n");
+  EXPECT_EQ(run.exit_code, 1) << run.err;
+  EXPECT_TRUE(run.out.empty()) << run.out;
+  EXPECT_FALSE(run.err.empty());
+  EXPECT_EQ(run.err.find("compiling locally"), std::string::npos) << run.err;
+  EXPECT_EQ(json_uint(ts.svc->metrics_json(), "compile_fail"), 1u);
+}
 
 // ---------------------------------------------------------------------------
 // ThreadPool: the concurrent-batch contract the shared pool rests on

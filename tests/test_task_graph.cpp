@@ -1,30 +1,35 @@
 // The barrier-free work-stealing scheduler (TaskGraph) and its three
 // consumers:
 //   * TaskGraph shape tests — chain, diamond, fan — respect dependency
-//     order under stealing, fire the ready hook before each body, and
-//     account executed/stolen/ready-peak/critical-path,
+//     order under stealing and account
+//     executed/stolen/ready-peak/critical-path,
 //   * exception policy: dependents of a failed node are cancelled, every
 //     independent node still runs, the lowest-index failure is rethrown
 //     (the serial first-failure), and the pool survives for reuse,
-//   * byte-identity: serial, wavefront, and work-stealing schedules
-//     print identical SPMD programs with identical cache hit/miss
-//     counts across jobs 1/2/4,
-//   * both IPA propagation passes produce identical maps under either
-//     scheduler,
-//   * readiness-driven prefetch accounting against a warm daemon fleet,
+//   * random DAGs, duplicate edges and the empty graph run every node
+//     exactly once after its dependencies; a second run() is refused;
+//     TaskGraphStats sums counts and keeps peaks,
+//   * byte-identity: the serial schedule (jobs 1) and the parallel one
+//     (jobs 2 and 4) print identical SPMD programs with identical cache
+//     hit/miss counts,
+//   * both IPA propagation passes produce identical maps serially and
+//     on a pool,
 //   * ThreadPool satellites: parallel_for(0) never touches batch state,
 //     ensure_workers grows the pool between batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "../bench/programs.hpp"
 #include "codegen/spmd_printer.hpp"
+#include "cache_dir.hpp"
 #include "driver/compiler.hpp"
-#include "fleet_harness.hpp"
 #include "frontend/parser.hpp"
 #include "support/task_graph.hpp"
 #include "support/thread_pool.hpp"
@@ -32,8 +37,7 @@
 namespace fortd {
 namespace {
 
-using fleet_test::TestFleet;
-using fleet_test::fresh_cache_dir;
+using test::fresh_cache_dir;
 
 // ---------------------------------------------------------------------------
 // TaskGraph shapes
@@ -91,49 +95,6 @@ TEST(TaskGraph, ChainDiamondAndFanRespectDependencies) {
     graph.run(nullptr, [&](size_t i) { order.push_back(i); });
     EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
   }
-}
-
-TEST(TaskGraph, ReadyHookFiresOnceBeforeEachBody) {
-  ThreadPool pool(3);
-  const size_t n = 16;
-  TaskGraph graph(n);
-  for (size_t i = 1; i < n; ++i) graph.add_dependency(i, i / 2);  // tree
-  std::mutex mu;
-  std::vector<int> hooked(n, 0);
-  graph.set_ready_hook([&](const std::vector<size_t>& ready) {
-    std::lock_guard<std::mutex> lock(mu);
-    for (size_t r : ready) hooked[r]++;
-  });
-  graph.run(&pool, [&](size_t i) {
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_EQ(hooked[i], 1) << "body " << i << " ran before its ready hook";
-  });
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hooked[i], 1);
-}
-
-TEST(TaskGraph, AuxTasksRunOnIdleSlotsAndDropAtTermination) {
-  ThreadPool pool(3);
-  TaskGraph graph(4);
-  std::atomic<int> aux_ran{0};
-  graph.set_ready_hook([&](const std::vector<size_t>& ready) {
-    for (size_t r = 0; r < ready.size(); ++r)
-      graph.spawn_aux([&] { aux_ran++; });
-  });
-  graph.run(&pool, [](size_t) {});
-  const auto& st = graph.stats();
-  EXPECT_EQ(st.aux_executed + st.aux_dropped, 4u);
-  EXPECT_EQ(static_cast<uint64_t>(aux_ran.load()), st.aux_executed);
-
-  // Inline: spawn_aux executes at the spawn point, nothing dropped.
-  TaskGraph inline_graph(2);
-  std::vector<int> trace;
-  inline_graph.set_ready_hook([&](const std::vector<size_t>& ready) {
-    for (size_t r = 0; r < ready.size(); ++r)
-      inline_graph.spawn_aux([&] { trace.push_back(-1); });
-  });
-  inline_graph.run(nullptr, [&](size_t i) { trace.push_back(static_cast<int>(i)); });
-  EXPECT_EQ(trace, (std::vector<int>{-1, -1, 0, 1}));
-  EXPECT_EQ(inline_graph.stats().aux_dropped, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,19 +157,155 @@ TEST(TaskGraph, InlineThrowMatchesSerialFirstFailure) {
   EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 2}));
 }
 
+TEST(TaskGraph, FailedBranchCancelsTheJoinButNotTheOtherBranch) {
+  // 0 -> {1, 2} -> 3 (join) -> 4, plus 5 depending on 2 alone. Node 1
+  // throws: the join and everything below it are cancelled even though
+  // its other input succeeded; 2 and 5 run.
+  ThreadPool pool(2);
+  TaskGraph graph(6);
+  graph.add_dependency(1, 0);
+  graph.add_dependency(2, 0);
+  graph.add_dependency(3, 1);
+  graph.add_dependency(3, 2);
+  graph.add_dependency(4, 3);
+  graph.add_dependency(5, 2);
+  std::mutex mu;
+  std::set<size_t> ran;
+  EXPECT_THROW(graph.run(&pool,
+                         [&](size_t i) {
+                           {
+                             std::lock_guard<std::mutex> lock(mu);
+                             ran.insert(i);
+                           }
+                           if (i == 1) throw std::runtime_error("branch");
+                         }),
+               std::runtime_error);
+  EXPECT_EQ(ran, (std::set<size_t>{0, 1, 2, 5}));
+  EXPECT_EQ(graph.stats().executed, 4u);
+  EXPECT_EQ(graph.stats().cancelled, 2u);
+}
+
+TEST(TaskGraph, DuplicateEdgesAreCountedSymmetrically) {
+  // A caller with two call sites to one callee adds the same edge twice.
+  // Each copy must be released once: the node waits for its dependency
+  // and still runs exactly once.
+  ThreadPool pool(3);
+  TaskGraph graph(4);
+  graph.add_dependency(2, 0);
+  graph.add_dependency(2, 0);
+  graph.add_dependency(2, 1);
+  graph.add_dependency(3, 2);
+  graph.add_dependency(3, 2);
+  graph.add_dependency(3, 2);
+  const std::vector<std::pair<size_t, size_t>> edges = {
+      {2, 0}, {2, 1}, {3, 2}};
+  OrderRecorder rec(4);
+  graph.run(&pool, [&](size_t i) { rec.body(i, edges); });
+  std::vector<size_t> done = rec.done;
+  std::sort(done.begin(), done.end());
+  EXPECT_EQ(done, (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(graph.stats().executed, 4u);
+  EXPECT_EQ(graph.stats().critical_path, 3u);
+}
+
+TEST(TaskGraph, RandomDagsRunEveryNodeOnceAfterItsDependencies) {
+  std::mt19937 rng(1992);
+  ThreadPool one(1);
+  ThreadPool three(3);
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t n = 1 + rng() % 40;
+    std::vector<std::pair<size_t, size_t>> edges;
+    std::vector<size_t> depth(n, 1);
+    for (size_t node = 1; node < n; ++node) {
+      const size_t fan_in = rng() % 4;
+      for (size_t k = 0; k < fan_in; ++k) {
+        const size_t dep = rng() % node;
+        edges.push_back({node, dep});
+        depth[node] = std::max(depth[node], depth[dep] + 1);
+      }
+    }
+    const size_t critical = *std::max_element(depth.begin(), depth.end());
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &three}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + ", pool size " +
+                   std::to_string(pool ? pool->size() : 0));
+      TaskGraph graph(n);
+      for (const auto& [node, dep] : edges) graph.add_dependency(node, dep);
+      OrderRecorder rec(n);
+      graph.run(pool, [&](size_t i) { rec.body(i, edges); });
+      std::vector<size_t> done = rec.done;
+      std::sort(done.begin(), done.end());
+      for (size_t i = 0; i < n; ++i) ASSERT_EQ(done[i], i);
+      EXPECT_EQ(done.size(), n);
+      EXPECT_EQ(graph.stats().executed, n);
+      EXPECT_EQ(graph.stats().critical_path, critical);
+    }
+  }
+}
+
+TEST(TaskGraph, EmptyGraphRunsNothing) {
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    TaskGraph graph(0);
+    bool called = false;
+    graph.run(p, [&](size_t) { called = true; });
+    EXPECT_FALSE(called);
+    EXPECT_EQ(graph.stats().executed, 0u);
+    EXPECT_EQ(graph.stats().critical_path, 0u);
+  }
+}
+
+TEST(TaskGraph, SecondRunIsALogicError) {
+  // Running a graph consumes its dependency counters; a second run()
+  // must refuse instead of scheduling against exhausted counters.
+  ThreadPool pool(2);
+  TaskGraph graph(3);
+  graph.add_dependency(2, 0);
+  int calls = 0;
+  graph.run(nullptr, [&](size_t) { ++calls; });
+  EXPECT_THROW(graph.run(&pool, [&](size_t) { ++calls; }), std::logic_error);
+  EXPECT_EQ(calls, 3);
+}
+
+TEST(TaskGraphStats, PlusEqualsSumsCountsAndKeepsPeaks) {
+  // The IPA passes add up the stats of every graph they run; counts and
+  // times sum while the peaks stay the largest single-run value.
+  TaskGraphStats total;
+  TaskGraphStats a;
+  a.executed = 5;
+  a.stolen = 2;
+  a.cancelled = 1;
+  a.ready_peak = 4;
+  a.critical_path = 3;
+  a.idle_ms = 1.5;
+  a.wall_ms = 10.0;
+  TaskGraphStats b;
+  b.executed = 7;
+  b.stolen = 1;
+  b.ready_peak = 2;
+  b.critical_path = 6;
+  b.idle_ms = 0.5;
+  b.wall_ms = 4.0;
+  total += a;
+  total += b;
+  EXPECT_EQ(total.executed, 12u);
+  EXPECT_EQ(total.stolen, 3u);
+  EXPECT_EQ(total.cancelled, 1u);
+  EXPECT_EQ(total.ready_peak, 4u);
+  EXPECT_EQ(total.critical_path, 6u);
+  EXPECT_DOUBLE_EQ(total.idle_ms, 2.0);
+  EXPECT_DOUBLE_EQ(total.wall_ms, 14.0);
+}
+
 // ---------------------------------------------------------------------------
-// Byte-identity across schedulers
+// Byte-identity across jobs counts
 // ---------------------------------------------------------------------------
 
-std::string compile_sched(const std::string& src, Scheduler sched, int jobs,
+std::string compile_sched(const std::string& src, int jobs,
                           CompilerStats* stats = nullptr) {
   CodegenOptions opt;
   opt.n_procs = 4;
   opt.jobs = jobs;
-  opt.scheduler = sched;
-  IpaOptions iopt;
-  iopt.scheduler = sched;
-  Compiler compiler(opt, iopt);
+  Compiler compiler(opt);
   CompileResult r = compiler.compile_source(src);
   if (stats) *stats = r.stats;
   return print_spmd(r.spmd);
@@ -220,20 +317,14 @@ class SchedulerDeterminism
 TEST_P(SchedulerDeterminism, AllSchedulesPrintIdentically) {
   const std::string& src = GetParam().second;
   CompilerStats serial_stats;
-  std::string serial =
-      compile_sched(src, Scheduler::Wavefront, 1, &serial_stats);
+  std::string serial = compile_sched(src, 1, &serial_stats);
   ASSERT_FALSE(serial.empty());
-  for (int jobs : {1, 2, 4}) {
+  for (int jobs : {2, 4}) {
     CompilerStats ws;
-    EXPECT_EQ(serial, compile_sched(src, Scheduler::WorkStealing, jobs, &ws))
-        << "work-stealing jobs=" << jobs;
+    EXPECT_EQ(serial, compile_sched(src, jobs, &ws)) << "jobs=" << jobs;
     EXPECT_EQ(serial_stats.cache_hits, ws.cache_hits) << "jobs=" << jobs;
     EXPECT_EQ(serial_stats.cache_misses, ws.cache_misses) << "jobs=" << jobs;
     EXPECT_EQ(serial_stats.generated, ws.generated) << "jobs=" << jobs;
-    CompilerStats wf;
-    EXPECT_EQ(serial, compile_sched(src, Scheduler::Wavefront, jobs, &wf))
-        << "wavefront jobs=" << jobs;
-    EXPECT_EQ(serial_stats.cache_misses, wf.cache_misses) << "jobs=" << jobs;
   }
 }
 
@@ -269,18 +360,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SchedulerDeterminism, RecompileRegeneratesTheSameSetUnderBothSchedules) {
   // Warm compile + one-leaf edit: the cache must regenerate exactly the
-  // same procedures whichever schedule probes it.
+  // same procedures whether the serial or the parallel schedule probes it.
   const std::string base = bench::fan_out(12, 64);
   const std::string edited = bench::fan_out(12, 64, /*edited_leaf=*/5);
   std::vector<std::vector<std::string>> regenerated;
-  for (Scheduler sched : {Scheduler::WorkStealing, Scheduler::Wavefront}) {
+  for (int jobs : {1, 4}) {
     CodegenOptions opt;
     opt.n_procs = 4;
-    opt.jobs = 4;
-    opt.scheduler = sched;
-    IpaOptions iopt;
-    iopt.scheduler = sched;
-    Compiler compiler(opt, iopt);
+    opt.jobs = jobs;
+    Compiler compiler(opt);
     compiler.compile_source(base);
     CompileResult r = compiler.compile_source(edited);
     regenerated.push_back(r.regenerated);
@@ -290,7 +378,7 @@ TEST(SchedulerDeterminism, RecompileRegeneratesTheSameSetUnderBothSchedules) {
 }
 
 // ---------------------------------------------------------------------------
-// IPA passes under both schedulers
+// IPA passes, serial and on a pool
 // ---------------------------------------------------------------------------
 
 std::string dump_effects(const SideEffects& fx) {
@@ -329,88 +417,43 @@ TEST(SchedulerDeterminism, IpaPassesMatchAcrossSchedulers) {
     auto summaries = compute_all_summaries(bp);
     ThreadPool pool(3);
 
-    SideEffects fx_wave = compute_side_effects(bp, acg, summaries, nullptr,
-                                               Scheduler::Wavefront);
-    SideEffects fx_steal = compute_side_effects(bp, acg, summaries, &pool,
-                                                Scheduler::WorkStealing);
-    EXPECT_EQ(dump_effects(fx_wave), dump_effects(fx_steal));
+    SideEffects fx_serial = compute_side_effects(bp, acg, summaries, nullptr);
+    SideEffects fx_steal = compute_side_effects(bp, acg, summaries, &pool);
+    EXPECT_EQ(dump_effects(fx_serial), dump_effects(fx_steal));
 
-    ReachingDecomps rd_wave = compute_reaching_decomps(
-        bp, acg, summaries, nullptr, Scheduler::Wavefront);
-    ReachingDecomps rd_steal = compute_reaching_decomps(
-        bp, acg, summaries, &pool, Scheduler::WorkStealing);
-    EXPECT_EQ(rd_wave.reaching, rd_steal.reaching);
-    EXPECT_EQ(rd_wave.at_stmt, rd_steal.at_stmt);
+    ReachingDecomps rd_serial =
+        compute_reaching_decomps(bp, acg, summaries, nullptr);
+    ReachingDecomps rd_steal =
+        compute_reaching_decomps(bp, acg, summaries, &pool);
+    EXPECT_EQ(rd_serial.reaching, rd_steal.reaching);
+    EXPECT_EQ(rd_serial.at_stmt, rd_steal.at_stmt);
 
     // Entry presence must match too (§8 digests hash presence): the
-    // work-stealing pre-size/erase dance must not leave placeholders.
-    EXPECT_EQ(rd_wave.reaching.size(), rd_steal.reaching.size());
+    // pre-size/erase dance must not leave placeholders on either path.
+    EXPECT_EQ(rd_serial.reaching.size(), rd_steal.reaching.size());
   }
 }
 
 TEST(SchedulerDeterminism, SchedulerChoiceDoesNotPerturbDigests) {
-  // Same program compiled by two Compilers that differ only in
-  // scheduler: the second must hit the first's artifacts through a
-  // shared cache directory — digests exclude the schedule.
+  // Same program compiled by two Compilers that differ only in jobs: the
+  // second must hit the first's artifacts through a shared cache
+  // directory — digests exclude the schedule.
   const std::string dir = fresh_cache_dir("sched_digest");
   const std::string src = bench::chain_fanout(5, 6, 64);
-  auto compile_into = [&](Scheduler sched) {
+  auto compile_into = [&](int jobs) {
     CodegenOptions opt;
     opt.n_procs = 4;
-    opt.jobs = 2;
-    opt.scheduler = sched;
+    opt.jobs = jobs;
     CacheOptions copt;
     copt.dir = dir;
     Compiler compiler(opt, {}, {}, copt);
     return compiler.compile_source(src);
   };
-  CompileResult warm = compile_into(Scheduler::Wavefront);
+  CompileResult warm = compile_into(1);
   EXPECT_EQ(warm.stats.generated, 12);
-  CompileResult cold = compile_into(Scheduler::WorkStealing);
+  CompileResult cold = compile_into(2);
   EXPECT_EQ(cold.stats.generated, 0)
-      << "work-stealing digests must match wavefront digests";
-}
-
-// ---------------------------------------------------------------------------
-// Readiness-driven prefetch against a warm fleet
-// ---------------------------------------------------------------------------
-
-TEST(SchedulerDeterminism, ReadinessPrefetchLandsAgainstWarmFleet) {
-  TestFleet fleet("sched_prefetch", 2);
-  const std::string src = bench::chain_fanout(6, 8, 64);
-  auto compile_fleet = [&](const std::string& dir, int jobs,
-                           Scheduler sched) {
-    CodegenOptions opt;
-    opt.n_procs = 4;
-    opt.jobs = jobs;
-    opt.scheduler = sched;
-    IpaOptions iopt;
-    iopt.scheduler = sched;
-    CacheOptions copt;
-    copt.dir = dir;
-    copt.remote_endpoint = fleet.endpoints();
-    Compiler compiler(opt, iopt, {}, copt);
-    CompileResult r = compiler.compile_source(src);
-    EXPECT_FALSE(compiler.remote_store()->any_degraded())
-        << compiler.remote_store()->degraded_reason();
-    return r;
-  };
-
-  compile_fleet(fresh_cache_dir("sp_warm"), 1, Scheduler::WorkStealing);
-
-  // Cold work-stealing compile: every digest is finalized by the ready
-  // hook and batch-prefetched, so nothing should be generated and the
-  // prefetcher must have done real work — serial and parallel alike.
-  for (int jobs : {1, 2}) {
-    CompileResult cold = compile_fleet(
-        fresh_cache_dir("sp_cold" + std::to_string(jobs)), jobs,
-        Scheduler::WorkStealing);
-    EXPECT_EQ(cold.stats.generated, 0) << "jobs=" << jobs;
-    EXPECT_GT(cold.stats.prefetch_issued, 0) << "jobs=" << jobs;
-    EXPECT_GT(cold.stats.prefetch_hits, 0) << "jobs=" << jobs;
-    EXPECT_LE(cold.stats.prefetch_hits, cold.stats.prefetch_issued);
-    EXPECT_GE(cold.stats.remote_hits, cold.stats.prefetch_hits);
-  }
+      << "parallel digests must match serial digests";
 }
 
 // ---------------------------------------------------------------------------
