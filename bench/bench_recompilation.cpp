@@ -3,7 +3,9 @@
 // A call chain of M procedures; one leaf-adjacent procedure is edited.
 // Without recompilation analysis the whole program recompiles (M+1
 // procedures); with it only the edited procedure — plus callers whose
-// interprocedural inputs actually changed — recompiles.
+// interprocedural inputs actually changed — recompiles. The procedure
+// cache decides this, so BM_RecompilationAnalysis times a warm compile
+// of the edit and counts what it regenerated.
 //
 // BM_ColdProcessRecompile extends the study across process boundaries:
 // a fresh Compiler per iteration (empty memory tiers — a new compiler
@@ -19,11 +21,6 @@
 #include "programs.hpp"
 
 namespace {
-
-fortd::CompilationRecord record_of(const std::string& src) {
-  fortd::Compiler compiler{fortd::CodegenOptions{}};
-  return compiler.compile_source(src).record;
-}
 
 void BM_RecompilationAnalysis(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
@@ -45,11 +42,13 @@ void BM_RecompilationAnalysis(benchmark::State& state) {
                 "a(i) = 0.25*a(i+" +
                     std::to_string(1 + (depth / 2) % 2) + ")");
 
-  fortd::CompilationRecord rec_before = record_of(before);
-  std::set<std::string> recompiled;
+  std::vector<std::string> recompiled;
   for (auto _ : state) {
-    fortd::CompilationRecord rec_after = record_of(after);
-    recompiled = fortd::procedures_to_recompile(rec_before, rec_after);
+    state.PauseTiming();
+    fortd::Compiler compiler{fortd::CodegenOptions{}};
+    compiler.compile_source(before);
+    state.ResumeTiming();
+    recompiled = compiler.compile_source(after).regenerated;
     { auto sink = recompiled.size(); benchmark::DoNotOptimize(sink); }
   }
   state.counters["recompiled"] = static_cast<double>(recompiled.size());

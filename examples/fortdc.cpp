@@ -45,7 +45,8 @@
 //     -server-timeout-ms N  round-trip budget before the local fallback
 //                   (default 30000)
 //
-// Exit codes: 0 success, 1 compile/execution error, 2 usage,
+// Exit codes: 0 success, 1 compile/execution error, 2 usage (a malformed
+// flag value included),
 // 3 lint/verifier findings promoted by -Werror, 4 conflicting flag
 // combination, 5 execution-harness mismatch (numerics differ from the
 // serial reference, or observed traffic differs from the simulator's
@@ -54,6 +55,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "codegen/spmd_printer.hpp"
@@ -80,29 +83,53 @@ int main(int argc, char** argv) {
   const char* server_spec = nullptr;
   int server_timeout_ms = 30000;
 
+  // The value of the numeric flag at argv[i] (advancing i past it), or
+  // nullopt after one line naming the flag when it is not a whole number
+  // in [lo, hi].
+  auto int_value = [&](int& i, long long lo,
+                       long long hi) -> std::optional<long long> {
+    const char* flag = argv[i++];
+    auto v = service::parse_int_in(argv[i], lo, hi);
+    if (!v)
+      std::fprintf(stderr,
+                   "fortdc: %s expects a whole number in %lld..%lld, "
+                   "got '%s'\n",
+                   flag, lo, hi, argv[i]);
+    return v;
+  };
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+
   for (int i = 1; i < argc; ++i) {
+    std::optional<long long> v;
     if ((!std::strcmp(argv[i], "-p") || !std::strcmp(argv[i], "-P")) &&
         i + 1 < argc) {
-      options.n_procs = std::atoi(argv[++i]);
+      if (!(v = int_value(i, 1, kIntMax))) return 2;
+      options.n_procs = static_cast<int>(*v);
     } else if (!std::strcmp(argv[i], "-j") && i + 1 < argc) {
-      options.jobs = std::atoi(argv[++i]);
+      if (!(v = int_value(i, 1, kIntMax))) return 2;
+      options.jobs = static_cast<int>(*v);
     } else if (!std::strcmp(argv[i], "-s") && i + 1 < argc) {
       const char* s = argv[++i];
-      options.strategy = !std::strcmp(s, "intra") ? Strategy::Intraprocedural
-                         : !std::strcmp(s, "runtime")
-                             ? Strategy::RuntimeResolution
-                             : Strategy::Interprocedural;
+      if (!std::strcmp(s, "inter")) {
+        options.strategy = Strategy::Interprocedural;
+      } else if (!std::strcmp(s, "intra")) {
+        options.strategy = Strategy::Intraprocedural;
+      } else if (!std::strcmp(s, "runtime")) {
+        options.strategy = Strategy::RuntimeResolution;
+      } else {
+        std::fprintf(stderr,
+                     "fortdc: -s expects inter|intra|runtime, got '%s'\n", s);
+        return 2;
+      }
     } else if (!std::strcmp(argv[i], "-O") && i + 1 < argc) {
-      int lvl = std::atoi(argv[++i]);
-      options.dyn_decomp = lvl <= 0   ? DynDecompOpt::None
-                           : lvl == 1 ? DynDecompOpt::Live
-                           : lvl == 2 ? DynDecompOpt::LiveInvariant
-                                      : DynDecompOpt::Full;
+      if (!(v = int_value(i, 0, 3))) return 2;
+      options.dyn_decomp = static_cast<DynDecompOpt>(*v);  // 0 None .. 3 Full
     } else if (!std::strcmp(argv[i], "-cache-dir") && i + 1 < argc) {
       cache_options.dir = argv[++i];
     } else if (!std::strcmp(argv[i], "-cache-max-bytes") && i + 1 < argc) {
-      cache_options.max_bytes =
-          static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!(v = int_value(i, 0, kMax))) return 2;
+      cache_options.max_bytes = static_cast<uint64_t>(*v);
     } else if (!std::strcmp(argv[i], "-cache-stats-json")) {
       cache_stats_json = true;
     } else if (!std::strcmp(argv[i], "-cache-clear")) {
@@ -131,7 +158,8 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "-server") && i + 1 < argc) {
       server_spec = argv[++i];
     } else if (!std::strcmp(argv[i], "-server-timeout-ms") && i + 1 < argc) {
-      server_timeout_ms = std::atoi(argv[++i]);
+      if (!(v = int_value(i, 1, kIntMax))) return 2;
+      server_timeout_ms = static_cast<int>(*v);
     } else if (argv[i][0] != '-') {
       path = argv[i];
     } else {

@@ -35,12 +35,17 @@
 // Runs in the foreground until SIGINT/SIGTERM, then *drains*: new
 // COMPILEs are refused (clients fall back to local compiles), in-flight
 // requests finish and their replies flush, and a final metrics line
-// prints. Exit codes: 0 clean shutdown, 2 usage.
+// prints. Exit codes: 0 clean shutdown, 2 usage (a malformed flag value
+// included).
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <thread>
 
+#include "service/client.hpp"
 #include "service/compile_service.hpp"
 
 namespace {
@@ -58,26 +63,50 @@ int main(int argc, char** argv) {
   options.jobs = 2;
   bool metrics_json = false;
 
+  // The value of the numeric flag at argv[i] (advancing i past it), or
+  // nullopt after one line naming the flag when it is not a whole number
+  // in [lo, hi].
+  auto int_value = [&](int& i, long long lo,
+                       long long hi) -> std::optional<long long> {
+    const char* flag = argv[i++];
+    auto v = service::parse_int_in(argv[i], lo, hi);
+    if (!v)
+      std::fprintf(stderr,
+                   "fortdd: %s expects a whole number in %lld..%lld, "
+                   "got '%s'\n",
+                   flag, lo, hi, argv[i]);
+    return v;
+  };
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+
   for (int i = 1; i < argc; ++i) {
+    std::optional<long long> v;
     if (!std::strcmp(argv[i], "-host") && i + 1 < argc) {
       options.host = argv[++i];
     } else if (!std::strcmp(argv[i], "-port") && i + 1 < argc) {
-      options.port = std::atoi(argv[++i]);
+      if (!(v = int_value(i, 0, 65535))) return 2;
+      options.port = static_cast<int>(*v);
     } else if (!std::strcmp(argv[i], "-j") && i + 1 < argc) {
-      options.jobs = std::atoi(argv[++i]);
+      if (!(v = int_value(i, 1, kIntMax))) return 2;
+      options.jobs = static_cast<int>(*v);
     } else if (!std::strcmp(argv[i], "-executors") && i + 1 < argc) {
-      options.executors = std::atoi(argv[++i]);
+      if (!(v = int_value(i, 1, kIntMax))) return 2;
+      options.executors = static_cast<int>(*v);
     } else if (!std::strcmp(argv[i], "-max-queue") && i + 1 < argc) {
-      options.max_queue = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!(v = int_value(i, 0, kMax))) return 2;
+      options.max_queue = static_cast<size_t>(*v);
     } else if (!std::strcmp(argv[i], "-sessions") && i + 1 < argc) {
-      options.max_sessions = static_cast<size_t>(std::atoll(argv[++i]));
+      if (!(v = int_value(i, 1, kMax))) return 2;
+      options.max_sessions = static_cast<size_t>(*v);
     } else if (!std::strcmp(argv[i], "-cache-dir") && i + 1 < argc) {
       options.cache_dir = argv[++i];
     } else if (!std::strcmp(argv[i], "-cache-max-bytes") && i + 1 < argc) {
-      options.cache_max_bytes = static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!(v = int_value(i, 0, kMax))) return 2;
+      options.cache_max_bytes = static_cast<uint64_t>(*v);
     } else if (!std::strcmp(argv[i], "-deadline-ms") && i + 1 < argc) {
-      options.default_deadline_ms =
-          static_cast<uint32_t>(std::atoll(argv[++i]));
+      if (!(v = int_value(i, 0, UINT32_MAX))) return 2;
+      options.default_deadline_ms = static_cast<uint32_t>(*v);
     } else if (!std::strcmp(argv[i], "-metrics-json")) {
       metrics_json = true;
     } else {

@@ -5,122 +5,14 @@
 #include "ipa/recompilation.hpp"
 #include "ipa/summaries.hpp"
 #include "ir/ir_serialize.hpp"
-#include "support/compress.hpp"
 
 namespace fortd {
-
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void mix(uint64_t& h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void mix_str(uint64_t& h, const std::string& s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  mix(h, s.size());
-}
-
-}  // namespace
-
-uint64_t hash_exports(const ProcExports& exports) {
-  uint64_t h = kFnvOffset;
-  mix_str(h, exports.iter_set.str());
-  mix(h, exports.pending_comms.size());
-  for (const auto& ev : exports.pending_comms) mix_str(h, ev.str());
-  for (const auto& [array, sections] : exports.sym_defs) {
-    mix_str(h, array);
-    for (const auto& sec : sections) mix_str(h, sym_section_str(sec));
-  }
-  for (const auto& v : exports.decomp_use) mix_str(h, v);
-  mix(h, exports.decomp_use.size());
-  for (const auto& v : exports.decomp_kill) mix_str(h, v);
-  mix(h, exports.decomp_kill.size());
-  for (const auto& [spec, var] : exports.decomp_before) {
-    mix_str(h, spec.str());
-    mix_str(h, var);
-  }
-  for (const auto& [spec, var] : exports.decomp_after) {
-    mix_str(h, spec.str());
-    mix_str(h, var);
-  }
-  for (const auto& v : exports.scalar_mods) mix_str(h, v);
-  mix(h, exports.contains_comm ? 1 : 0);
-  for (const auto& [array, demand] : exports.shift_demand) {
-    mix_str(h, array);
-    mix(h, static_cast<uint64_t>(demand.first));
-    mix(h, static_cast<uint64_t>(demand.second));
-  }
-  return h;
-}
-
-uint64_t hash_codegen_options(const CodegenOptions& options) {
-  uint64_t h = kFnvOffset;
-  mix(h, static_cast<uint64_t>(options.n_procs));
-  mix(h, static_cast<uint64_t>(options.strategy));
-  mix(h, static_cast<uint64_t>(options.dyn_decomp));
-  mix(h, options.prefer_buffers ? 1 : 0);
-  mix(h, options.parameterized_overlaps ? 1 : 0);
-  mix(h, options.message_vectorization ? 1 : 0);
-  // options.jobs deliberately excluded: the schedule must not change the
-  // generated code, so serial and parallel compiles share cache entries.
-  return h;
-}
-
-uint64_t procedure_digest(const Procedure& proc, const BoundProgram& program,
-                          const IpaContext& ipa,
-                          const OverlapEstimates& overlaps,
-                          const CodegenOptions& options,
-                          const std::map<std::string, ProcExports>& callee_exports) {
-  uint64_t h = kFnvOffset;
-  // Source identity: the same structural hash §8's recompilation record
-  // uses for proc_hashes.
-  auto sit = ipa.summaries.find(proc.name);
-  mix(h, sit != ipa.summaries.end() ? sit->second.hash
-                                    : hash_procedure(proc));
-  // Interprocedural inputs (Reaching, overlap estimates, callee interface
-  // summaries, run-time fallback) — shared with input_hashes.
-  mix(h, hash_codegen_inputs(proc.name, ipa, overlaps));
-  mix(h, hash_codegen_options(options));
-  // Callee exports: generation consumes the *compiled* interface of each
-  // callee (pending comms, iteration sets, decomp summary sets), which is
-  // finer-grained than the static interface summary. Call sites enumerate
-  // in deterministic site order.
-  for (const CallSiteInfo* site : ipa.acg.calls_from(proc.name)) {
-    mix_str(h, site->callee);
-    auto it = callee_exports.find(site->callee);
-    if (it != callee_exports.end()) mix(h, hash_exports(it->second));
-    // Formal names scope the exported symbolic sections; translation in
-    // the caller depends on them.
-    if (const Procedure* callee = program.find(site->callee)) {
-      for (const auto& f : callee->formals) mix_str(h, f);
-      mix(h, callee->formals.size());
-    }
-  }
-  return h;
-}
 
 // ---------------------------------------------------------------------------
 // Persistent artifact codec (kind "proc")
 // ---------------------------------------------------------------------------
 
 const char kProcArtifactKind[] = "proc";
-
-uint64_t proc_artifact_format_hash() {
-  uint64_t h = kFnvOffset;
-  mix_str(h, kProcArtifactKind);
-  mix(h, kSerializeFormatVersion);
-  mix(h, kCompressFormatVersion);
-  return h;
-}
 
 namespace {
 
@@ -184,8 +76,7 @@ void write_comm_event(BinaryWriter& w, const CommEvent& e) {
   write_affine(w, e.root_index);
   w.str(e.scalar);
   w.i64(e.hoisted_loops);
-  w.i64(e.loc.line);
-  w.i64(e.loc.col);
+  write_loc(w, e.loc);
 }
 
 CommEvent read_comm_event(BinaryReader& r) {
@@ -208,8 +99,7 @@ CommEvent read_comm_event(BinaryReader& r) {
   e.root_index = read_affine(r);
   e.scalar = r.str();
   e.hoisted_loops = static_cast<int>(r.i64());
-  e.loc.line = static_cast<int>(r.i64());
-  e.loc.col = static_cast<int>(r.i64());
+  e.loc = read_loc(r);
   return e;
 }
 
@@ -233,18 +123,6 @@ IterationSet read_iteration_set(BinaryReader& r) {
   s.constraint.array = r.str();
   s.constraint.dim = static_cast<int>(r.i64());
   s.constraint.offset = r.i64();
-  return s;
-}
-
-void write_str_set(BinaryWriter& w, const std::set<std::string>& s) {
-  w.count(s.size());
-  for (const std::string& v : s) w.str(v);
-}
-
-std::set<std::string> read_str_set(BinaryReader& r) {
-  std::set<std::string> s;
-  size_t n = r.count();
-  for (size_t i = 0; i < n; ++i) s.insert(r.str());
   return s;
 }
 
@@ -391,6 +269,48 @@ CompileStats read_compile_stats(BinaryReader& r) {
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// Digest
+// ---------------------------------------------------------------------------
+
+uint64_t procedure_digest(const Procedure& proc, const BoundProgram& program,
+                          const IpaContext& ipa,
+                          const OverlapEstimates& overlaps,
+                          const CodegenOptions& options,
+                          const std::map<std::string, ProcExports>& callee_exports) {
+  BinaryWriter w(/*positions=*/false);
+  auto sit = ipa.summaries.find(proc.name);
+  w.u64(sit != ipa.summaries.end() ? sit->second.hash : hash_procedure(proc));
+  write_codegen_inputs(w, proc.name, ipa, overlaps);
+  // The option fields that shape the code. options.jobs is left out: the
+  // schedule must not change the code, so serial and parallel compiles
+  // share entries.
+  w.i64(options.n_procs);
+  w.u8(static_cast<uint8_t>(options.strategy));
+  w.u8(static_cast<uint8_t>(options.dyn_decomp));
+  w.boolean(options.prefer_buffers);
+  w.boolean(options.parameterized_overlaps);
+  w.boolean(options.message_vectorization);
+  // Generation consumes each callee's *compiled* interface (pending
+  // comms, iteration sets, decomposition summary sets), finer-grained
+  // than its static interface summary, and its formal names, which scope
+  // the exported symbolic sections.
+  const std::vector<const CallSiteInfo*> sites = ipa.acg.calls_from(proc.name);
+  w.count(sites.size());
+  for (const CallSiteInfo* site : sites) {
+    w.str(site->callee);
+    auto it = callee_exports.find(site->callee);
+    w.boolean(it != callee_exports.end());
+    if (it != callee_exports.end()) write_exports(w, it->second);
+    const int callee = ipa.acg.procedure_index(site->callee);
+    w.boolean(callee >= 0);
+    if (callee >= 0)
+      write_str_vec(
+          w, program.ast.procedures[static_cast<size_t>(callee)]->formals);
+  }
+  return fnv1a(w.bytes());
+}
+
 std::vector<uint8_t> serialize_cached_procedure(const CachedProcedure& entry) {
   BinaryWriter w;
   write_procedure(w, *entry.compiled);
@@ -432,8 +352,9 @@ std::shared_ptr<const CachedProcedure> CompilationCache::lookup(
     }
   }
   if (store_) {
-    if (auto payload =
-            store_->load(kProcArtifactKind, proc_artifact_format_hash(), digest)) {
+    if (auto payload = store_->load(kProcArtifactKind,
+                                    artifact_format_hash(kProcArtifactKind),
+                                    digest)) {
       if (auto entry = deserialize_cached_procedure(*payload)) {
         auto sp = std::make_shared<const CachedProcedure>(std::move(*entry));
         std::lock_guard<std::mutex> lock(mu_);
@@ -453,8 +374,8 @@ std::shared_ptr<const CachedProcedure> CompilationCache::lookup(
 
 void CompilationCache::insert(uint64_t digest, CachedProcedure entry) {
   if (store_)
-    store_->store(kProcArtifactKind, proc_artifact_format_hash(), digest,
-                  serialize_cached_procedure(entry));
+    store_->store(kProcArtifactKind, artifact_format_hash(kProcArtifactKind),
+                  digest, serialize_cached_procedure(entry));
   std::lock_guard<std::mutex> lock(mu_);
   entries_[digest] =
       std::make_shared<const CachedProcedure>(std::move(entry));

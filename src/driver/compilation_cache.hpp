@@ -1,21 +1,24 @@
 // Content-hashed procedure cache for interprocedural code generation.
 //
 // The paper's §8 recompilation tests decide, after an edit, which
-// procedures must be *recompiled*; this cache is the constructive
-// counterpart: generated SPMD procedures are keyed by a digest of every
-// input their generation consumed —
-//   * the structural hash of the procedure body (source identity),
-//   * hash_codegen_inputs: Reaching(P), overlap estimates, callee
-//     interface summaries, run-time fallback status (the same hash that
-//     feeds CompilationRecord.input_hashes), plus
-//   * the exports (delayed comms, iteration sets, decomposition summary
-//     sets, formal names) of every callee, available before a caller is
-//     scheduled because generation proceeds callees-first, and
-//   * the code-generation options.
-// A second compile() of a program in which k procedures changed therefore
-// regenerates only those k and the callers whose callee exports actually
-// changed — everything else is a hit and its cached SPMD AST is cloned
-// into the result.
+// procedures must be *recompiled*; this cache is where that decision is
+// made. Generated SPMD procedures are keyed by procedure_digest, fnv1a
+// over one writer pass (source positions off) of every input their
+// generation consumed —
+//   * the procedure digest (hash_procedure: the bytes write_procedure
+//     writes),
+//   * write_codegen_inputs: Reaching(P), overlap estimates, callee
+//     interface summaries, run-time fallback status, may-alias pairs,
+//   * the option fields that shape the code (not jobs), and
+//   * per call site, the callee's name, its exports (delayed comms,
+//     iteration sets, decomposition summary sets) and formal names,
+//     available before a caller is scheduled because generation proceeds
+//     callees-first.
+// The codecs write every count, presence flag and field, so no field can
+// drop out of a key. A second compile() of a program in which k
+// procedures changed therefore regenerates only those k and the callers
+// whose inputs actually changed (CompileResult::regenerated) — everything
+// else is a hit and its cached SPMD AST is cloned into the result.
 // When a ContentStore is attached (Compiler with CacheOptions.dir set),
 // the cache becomes a two-tier structure: memory misses consult the
 // persistent compilation database (artifact kind "proc"), and inserts
@@ -43,19 +46,9 @@ struct CachedProcedure {
   CompileStats stats;  // this procedure's contribution to the counters
 };
 
-/// Digest of a ProcExports interface — what callers consume of a compiled
-/// callee beyond its static interface summary.
-uint64_t hash_exports(const ProcExports& exports);
-
-/// Digest of the option fields that change generated code shape.
-/// options.jobs is excluded — the schedule must not change the code.
-uint64_t hash_codegen_options(const CodegenOptions& options);
-
-/// The cache key for one procedure: structural source hash +
-/// hash_codegen_inputs (§8 recompilation-test inputs) + options + the
-/// exports and formal names of every callee. `callee_exports` must hold
-/// entries for all of the procedure's callees (guaranteed when levels are
-/// scheduled callees-first).
+/// The cache key for one procedure (see the header comment).
+/// `callee_exports` must hold entries for all of the procedure's callees
+/// (guaranteed when callees are generated first).
 uint64_t procedure_digest(const Procedure& proc, const BoundProgram& program,
                           const IpaContext& ipa,
                           const OverlapEstimates& overlaps,
@@ -66,7 +59,6 @@ uint64_t procedure_digest(const Procedure& proc, const BoundProgram& program,
 /// binary encoding of CachedProcedure (SPMD body, exports, storage,
 /// stats); deserialize returns nullopt on any malformed payload.
 extern const char kProcArtifactKind[];
-uint64_t proc_artifact_format_hash();
 std::vector<uint8_t> serialize_cached_procedure(const CachedProcedure& entry);
 std::optional<CachedProcedure> deserialize_cached_procedure(
     const std::vector<uint8_t>& payload);

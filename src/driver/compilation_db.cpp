@@ -102,6 +102,14 @@ std::optional<BlobInfo> inspect_blob_envelope(
 
 }  // namespace
 
+uint64_t artifact_format_hash(const std::string& kind) {
+  BinaryWriter w;
+  w.str(kind);
+  w.u64(kSerializeFormatVersion);
+  w.u64(kCompressFormatVersion);
+  return fnv1a(w.bytes());
+}
+
 std::vector<uint8_t> make_blob_envelope(uint64_t format_hash, uint64_t digest,
                                         const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> comp = compress_bytes(payload);

@@ -48,6 +48,11 @@ struct CacheOptions {
   uint64_t max_bytes = 256ull << 20;     // LRU GC bound (0 = unbounded)
 };
 
+/// The format stamp of artifact kind `kind`: fnv1a over the kind and the
+/// serialize and compress format versions, so a codec change turns every
+/// blob of the old layout stale.
+uint64_t artifact_format_hash(const std::string& kind);
+
 /// Build the FDCA on-disk envelope around `payload`:
 ///   magic | format_hash | digest | comp_size | raw_size |
 ///   LZ(payload) | fnv1a(LZ(payload))

@@ -137,9 +137,6 @@ CompileResult Compiler::compile(SourceProgram ast) {
       last_lint_.append(result.verify.diags);
     }
 
-    result.record =
-        make_compilation_record(result.program, result.ipa, result.overlaps);
-
     result.stats.procedures =
         static_cast<int>(result.program.ast.procedures.size());
     result.stats.generated = static_cast<int>(result.regenerated.size());

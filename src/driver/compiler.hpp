@@ -25,7 +25,6 @@
 #include "codegen/codegen.hpp"
 #include "driver/compilation_cache.hpp"
 #include "driver/compilation_db.hpp"
-#include "ipa/recompilation.hpp"
 #include "ipa/summary_cache.hpp"
 #include "machine/simulator.hpp"
 #include "support/thread_pool.hpp"
@@ -84,12 +83,11 @@ struct CompileResult {
   IpaContext ipa;
   OverlapEstimates overlaps;
   SpmdProgram spmd;
-  /// Snapshot for recompilation analysis (§8).
-  CompilationRecord record;
   /// Phase timings + cache counters for this compile.
   CompilerStats stats;
   /// Procedures that actually ran through code generation (cache hits
-  /// excluded), in reverse topological order.
+  /// excluded), in reverse topological order — §8's answer to "what does
+  /// this edit recompile?".
   std::vector<std::string> regenerated;
   /// Lint findings (empty unless LintOptions::analyze).
   LintReport lint;

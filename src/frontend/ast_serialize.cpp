@@ -2,9 +2,8 @@
 
 namespace fortd {
 
-namespace {
-
 void write_loc(BinaryWriter& w, const SourceLoc& loc) {
+  if (!w.positions()) return;
   w.i64(loc.line);
   w.i64(loc.col);
 }
@@ -16,16 +15,7 @@ SourceLoc read_loc(BinaryReader& r) {
   return loc;
 }
 
-void write_str_vec(BinaryWriter& w, const std::vector<std::string>& v) {
-  w.count(v.size());
-  for (const std::string& s : v) w.str(s);
-}
-
-std::vector<std::string> read_str_vec(BinaryReader& r) {
-  std::vector<std::string> v(r.count());
-  for (std::string& s : v) s = r.str();
-  return v;
-}
+namespace {
 
 void write_int_vec(BinaryWriter& w, const std::vector<int>& v) {
   w.count(v.size());

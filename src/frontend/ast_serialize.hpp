@@ -11,6 +11,10 @@
 //
 // Readers never throw: a malformed payload leaves the BinaryReader's fail
 // bit set and the deserializer returns nullptr/nullopt.
+//
+// The same writers feed the cache digests: hash_procedure
+// (ipa/summaries.hpp) is fnv1a over write_procedure's bytes, written with
+// source positions switched off (BinaryWriter::positions).
 #pragma once
 
 #include <optional>
@@ -20,6 +24,8 @@
 
 namespace fortd {
 
+/// A source position; writes nothing when !w.positions().
+void write_loc(BinaryWriter& w, const SourceLoc& loc);
 void write_dist_spec(BinaryWriter& w, const DistSpec& d);
 void write_dist_specs(BinaryWriter& w, const std::vector<DistSpec>& v);
 void write_expr(BinaryWriter& w, const Expr& e);
@@ -31,6 +37,7 @@ void write_procedure(BinaryWriter& w, const Procedure& proc);
 
 /// Each reader returns a null/empty value with r.ok() == false on
 /// malformed input; callers check r.ok() once after the outermost read.
+SourceLoc read_loc(BinaryReader& r);
 DistSpec read_dist_spec(BinaryReader& r);
 std::vector<DistSpec> read_dist_specs(BinaryReader& r);
 ExprPtr read_expr(BinaryReader& r);

@@ -57,26 +57,6 @@ std::string AliasMap::str() const {
   return os.str();
 }
 
-uint64_t hash_alias_entry(const AliasMap& am, const std::string& proc) {
-  const std::set<AliasPair>* set = am.of(proc);
-  if (!set) return 0;
-  constexpr uint64_t kFnvPrime = 1099511628211ull;
-  uint64_t h = 1469598103934665603ull;
-  auto mix_str = [&](const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
-      h *= kFnvPrime;
-    }
-    h ^= 0xff;
-    h *= kFnvPrime;
-  };
-  for (const AliasPair& p : *set) {
-    mix_str(p.a);
-    mix_str(p.b);
-  }
-  return h;
-}
-
 namespace {
 
 /// The caller-side storage covered by an actual argument, in the declared

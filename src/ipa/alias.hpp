@@ -15,12 +15,12 @@
 //
 // The result is schedule-invariant: per-procedure entries are canonical
 // std::set unions of per-site contributions, so serial and parallel
-// work-stealing runs produce byte-identical maps. Entries fold into the
-// §8 recompilation digests (hash_codegen_inputs) and feed procedure
-// cloning, side-effect widening, and the `fortd-alias-hazard` checker.
+// work-stealing runs produce byte-identical maps. Pair members (not
+// provenance) are written into the §8 recompilation digests
+// (write_codegen_inputs), and entries feed procedure cloning,
+// side-effect widening, and the `fortd-alias-hazard` checker.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -68,11 +68,6 @@ struct AliasMap {
   /// Canonical textual dump (members + provenance), for invariance tests.
   std::string str() const;
 };
-
-/// FNV-1a digest of one procedure's alias entry (0 when absent/empty) —
-/// mixed into the §8 recompilation digests so a changed alias environment
-/// forces recompilation. Pure function of the canonical entry.
-uint64_t hash_alias_entry(const AliasMap& am, const std::string& proc);
 
 /// One procedure's pairs pulled from its call sites and its callers'
 /// already-published entries. Pure: the union over sites is canonical, so

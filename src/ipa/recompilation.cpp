@@ -1,118 +1,63 @@
 #include "ipa/recompilation.hpp"
 
+#include "ipa/summary_cache.hpp"
+#include "ir/ir_serialize.hpp"
+
 namespace fortd {
 
 namespace {
 
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void mix(uint64_t& h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
+/// The interface summary callers consume of `callee` (bottom-up facts).
+void write_interface(BinaryWriter& w, const std::string& callee,
+                     const SideEffects& fx) {
+  for (const auto* sets : {&fx.gmod, &fx.gref}) {
+    auto it = sets->find(callee);
+    w.boolean(it != sets->end());
+    if (it != sets->end()) write_str_set(w, it->second);
   }
-}
-
-void mix_str(uint64_t& h, const std::string& s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
+  for (const auto* sections : {&fx.gdefs, &fx.guses}) {
+    auto it = sections->find(callee);
+    if (it != sections->end()) write_rsd_map(w, it->second);
+    else w.count(0);  // absent reads as empty
   }
-  mix(h, s.size());
-}
-
-uint64_t hash_reaching(const std::map<std::string, std::set<DecompSpec>>& r) {
-  uint64_t h = 1469598103934665603ull;
-  for (const auto& [var, specs] : r) {
-    mix_str(h, var);
-    for (const auto& spec : specs) mix_str(h, spec.str());
-  }
-  return h;
-}
-
-uint64_t hash_interface(const std::string& proc, const IpaContext& ctx) {
-  uint64_t h = 1469598103934665603ull;
-  auto mixset = [&](const std::map<std::string, std::set<std::string>>& m) {
-    auto it = m.find(proc);
-    if (it == m.end()) return;
-    for (const auto& v : it->second) mix_str(h, v);
-    mix(h, it->second.size());
-  };
-  mixset(ctx.effects.gmod);
-  mixset(ctx.effects.gref);
-  auto mixsections = [&](const std::map<std::string, std::map<std::string, RsdList>>& m) {
-    auto it = m.find(proc);
-    if (it == m.end()) return;
-    for (const auto& [var, list] : it->second) {
-      mix_str(h, var);
-      mix_str(h, list.str());
-    }
-  };
-  mixsections(ctx.effects.gdefs);
-  mixsections(ctx.effects.guses);
-  return h;
 }
 
 }  // namespace
 
-uint64_t hash_codegen_inputs(const std::string& proc, const IpaContext& ctx,
-                             const OverlapEstimates& overlaps) {
-  uint64_t h = 1469598103934665603ull;
-  // Reaching decompositions consumed by this procedure.
+void write_codegen_inputs(BinaryWriter& w, const std::string& proc,
+                          const IpaContext& ctx,
+                          const OverlapEstimates& overlaps) {
   auto rit = ctx.reaching.reaching.find(proc);
-  if (rit != ctx.reaching.reaching.end()) mix(h, hash_reaching(rit->second));
-  // Overlap estimates consumed.
+  w.boolean(rit != ctx.reaching.reaching.end());
+  if (rit != ctx.reaching.reaching.end()) write_decomp_sets(w, rit->second);
   auto oit = overlaps.estimates.find(proc);
-  if (oit != overlaps.estimates.end())
-    for (const auto& [var, ov] : oit->second) {
-      mix_str(h, var);
-      mix_str(h, ov.str());
-    }
-  // Callee interface summaries consumed (bottom-up facts).
-  for (const CallSiteInfo* site : ctx.acg.calls_from(proc)) {
-    mix_str(h, site->callee);
-    mix(h, hash_interface(site->callee, ctx));
+  if (oit != overlaps.estimates.end()) write_overlap_map(w, oit->second);
+  else w.count(0);  // absent reads as empty
+  const std::vector<const CallSiteInfo*> sites = ctx.acg.calls_from(proc);
+  w.count(sites.size());
+  for (const CallSiteInfo* site : sites) {
+    w.str(site->callee);
+    write_interface(w, site->callee, ctx.effects);
   }
   // Run-time fallback status changes code shape too.
-  mix(h, ctx.runtime_fallback.count(proc));
+  w.boolean(ctx.runtime_fallback.count(proc) != 0);
   // May-alias environment (§6.4): a changed pair set widens side effects
-  // and splits cloning partitions, so it must force recompilation. The
-  // entry hash is a pure function of the canonical pair set — schedule-
-  // and jobs-invariant like every other input above.
-  mix(h, hash_alias_entry(ctx.alias, proc));
-  return h;
-}
-
-CompilationRecord make_compilation_record(const BoundProgram& program,
-                                          const IpaContext& ctx,
-                                          const OverlapEstimates& overlaps) {
-  CompilationRecord rec;
-  for (const auto& proc : program.ast.procedures) {
-    const std::string& name = proc->name;
-    auto sit = ctx.summaries.find(name);
-    rec.proc_hashes[name] =
-        sit != ctx.summaries.end() ? sit->second.hash : hash_procedure(*proc);
-    rec.input_hashes[name] = hash_codegen_inputs(name, ctx, overlaps);
-  }
-  return rec;
-}
-
-std::set<std::string> procedures_to_recompile(const CompilationRecord& before,
-                                              const CompilationRecord& after) {
-  std::set<std::string> out;
-  for (const auto& [name, hash] : after.proc_hashes) {
-    auto bit = before.proc_hashes.find(name);
-    if (bit == before.proc_hashes.end() || bit->second != hash) {
-      out.insert(name);
-      continue;
+  // and splits cloning partitions. Pairs are identified by their members;
+  // provenance is not identity.
+  const std::set<AliasPair>* pairs = ctx.alias.of(proc);
+  w.count(pairs ? pairs->size() : 0);
+  if (pairs)
+    for (const AliasPair& p : *pairs) {
+      w.str(p.a);
+      w.str(p.b);
     }
-    auto ait = after.input_hashes.find(name);
-    auto bif = before.input_hashes.find(name);
-    if (ait != after.input_hashes.end() &&
-        (bif == before.input_hashes.end() || bif->second != ait->second))
-      out.insert(name);
-  }
-  return out;
+}
+
+uint64_t hash_codegen_inputs(const std::string& proc, const IpaContext& ctx,
+                             const OverlapEstimates& overlaps) {
+  BinaryWriter w(/*positions=*/false);
+  write_codegen_inputs(w, proc, ctx, overlaps);
+  return fnv1a(w.bytes());
 }
 
 }  // namespace fortd

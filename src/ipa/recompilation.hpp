@@ -3,18 +3,17 @@
 // own source changed or whose *interprocedural inputs* changed — not the
 // whole program.
 //
-// A CompilationRecord captures, per procedure:
-//   * the structural hash of its body (local summary identity), and
-//   * a hash of every interprocedural fact code generation consumed:
-//     Reaching(P), overlap estimates, and the translated summary
-//     interface (GMOD/GREF/def-use sections) of each callee.
-// Editing a callee in a way that leaves its interface summary unchanged
-// therefore does not trigger recompilation of its callers.
+// The procedure cache (driver/compilation_cache.hpp) is the one place the
+// test is decided: a procedure is regenerated exactly when its digest
+// misses, and CompileResult::regenerated names it. This header supplies
+// the digest's interprocedural part — every fact code generation consumes
+// for a procedure: Reaching(P), overlap estimates, the interface summary
+// (GMOD/GREF, def/use sections) of each callee, run-time fallback status
+// and the may-alias pairs. Editing a callee in a way that leaves its
+// interface summary unchanged therefore does not recompile its callers.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
 
 #include "ipa/cloning.hpp"
@@ -22,28 +21,17 @@
 
 namespace fortd {
 
-struct CompilationRecord {
-  std::map<std::string, uint64_t> proc_hashes;   // source identity
-  std::map<std::string, uint64_t> input_hashes;  // interprocedural inputs
-};
+class BinaryWriter;
 
-/// Hash of every interprocedural fact code generation consumes for
-/// `proc`: Reaching(P), overlap estimates, the interface summary of each
-/// callee, and run-time fallback status — the §8 recompilation-test
-/// inputs. Shared by CompilationRecord and the codegen procedure cache so
-/// both invalidate on exactly the same events.
+/// Write the §8 recompilation-test inputs of `proc` with the artifact
+/// codecs' writers. Pure function of the canonical IPA solution, so
+/// schedule- and jobs-invariant.
+void write_codegen_inputs(BinaryWriter& w, const std::string& proc,
+                          const IpaContext& ctx,
+                          const OverlapEstimates& overlaps);
+
+/// fnv1a over the bytes write_codegen_inputs writes.
 uint64_t hash_codegen_inputs(const std::string& proc, const IpaContext& ctx,
                              const OverlapEstimates& overlaps);
-
-/// Snapshot the current program + interprocedural solution.
-CompilationRecord make_compilation_record(const BoundProgram& program,
-                                          const IpaContext& ctx,
-                                          const OverlapEstimates& overlaps);
-
-/// The procedures that must be recompiled going from `before` to `after`:
-/// new procedures, procedures whose source hash changed, and procedures
-/// whose interprocedural input hash changed.
-std::set<std::string> procedures_to_recompile(const CompilationRecord& before,
-                                              const CompilationRecord& after);
 
 }  // namespace fortd

@@ -1,10 +1,10 @@
 #include "ipa/summaries.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <functional>
 
 #include "analysis/dataflow.hpp"
+#include "frontend/ast_serialize.hpp"
 #include "ipa/summary_cache.hpp"
 #include "support/thread_pool.hpp"
 
@@ -217,100 +217,13 @@ compute_local_reaching(const BoundProgram& program, const Procedure& proc,
 }
 
 // ---------------------------------------------------------------------------
-// Structural hashing
+// Procedure digest
 // ---------------------------------------------------------------------------
 
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv(uint64_t& h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_str(uint64_t& h, const std::string& s) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  fnv(h, s.size());
-}
-
-void hash_expr(uint64_t& h, const Expr& e) {
-  fnv(h, static_cast<uint64_t>(e.kind) + 17);
-  fnv(h, static_cast<uint64_t>(e.int_val));
-  fnv(h, std::bit_cast<uint64_t>(e.real_val));  // exact: no two literals collide
-  fnv_str(h, e.name);
-  fnv(h, static_cast<uint64_t>(e.bin_op));
-  fnv(h, static_cast<uint64_t>(e.un_op));
-  for (const auto& a : e.args) hash_expr(h, *a);
-}
-
-void hash_stmts(uint64_t& h, const std::vector<StmtPtr>& stmts);
-
-void hash_stmt(uint64_t& h, const Stmt& s) {
-  fnv(h, static_cast<uint64_t>(s.kind) + 31);
-  auto he = [&](const ExprPtr& e) {
-    if (e) hash_expr(h, *e);
-  };
-  he(s.lhs);
-  he(s.rhs);
-  he(s.cond);
-  he(s.lb);
-  he(s.ub);
-  he(s.step);
-  he(s.peer);
-  fnv_str(h, s.loop_var);
-  fnv_str(h, s.callee);
-  for (const auto& a : s.call_args) hash_expr(h, *a);
-  fnv_str(h, s.align_array);
-  fnv_str(h, s.align_target);
-  for (int p : s.align_perm) fnv(h, static_cast<uint64_t>(p));
-  fnv_str(h, s.dist_target);
-  for (const auto& d : s.dist_specs) {
-    fnv(h, static_cast<uint64_t>(d.kind));
-    fnv(h, static_cast<uint64_t>(d.block_size));
-  }
-  hash_stmts(h, s.then_body);
-  hash_stmts(h, s.else_body);
-  hash_stmts(h, s.body);
-}
-
-void hash_stmts(uint64_t& h, const std::vector<StmtPtr>& stmts) {
-  fnv(h, stmts.size());
-  for (const auto& s : stmts) hash_stmt(h, *s);
-}
-
-}  // namespace
-
 uint64_t hash_procedure(const Procedure& proc) {
-  uint64_t h = kFnvOffset;
-  fnv_str(h, proc.name);
-  fnv(h, proc.is_program);
-  for (const auto& f : proc.formals) fnv_str(h, f);
-  for (const auto& d : proc.decls) {
-    fnv_str(h, d.name);
-    fnv(h, static_cast<uint64_t>(d.type));
-    fnv(h, d.is_decomposition);
-    for (const auto& dim : d.dims) {
-      if (dim.lb) hash_expr(h, *dim.lb);
-      hash_expr(h, *dim.ub);
-    }
-  }
-  for (const auto& p : proc.params) {
-    fnv_str(h, p.name);
-    hash_expr(h, *p.value);
-  }
-  for (const auto& c : proc.commons) {
-    fnv_str(h, c.name);
-    for (const auto& v : c.vars) fnv_str(h, v);
-  }
-  hash_stmts(h, proc.body);
-  return h;
+  BinaryWriter w(/*positions=*/false);
+  write_procedure(w, proc);
+  return fnv1a(w.bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +258,6 @@ ProcSummary compute_summary(const BoundProgram& program, const std::string& name
 
   ProcSummary sum;
   sum.proc = name;
-  sum.hash = hash_procedure(*proc);
   sum.align = collect_alignments(*proc);
 
   SymbolicEnv base_env = SymbolicEnv::from_params(*proc, st);
@@ -518,18 +430,17 @@ void compute_summaries_into(const BoundProgram& program,
     const Procedure* proc = program.find(names[i]);
     if (!proc)
       throw CompileError({}, "compute_summaries: unknown procedure " + names[i]);
+    const uint64_t h = hash_procedure(*proc);
     if (cache) {
-      uint64_t h = hash_procedure(*proc);
       if (auto hit = cache->lookup(h, *proc)) {
         slots[i] = std::move(*hit);
         from_cache[i] = 1;
         return;
       }
-      slots[i] = compute_summary(program, names[i]);
-      cache->insert(h, *proc, slots[i]);
-      return;
     }
     slots[i] = compute_summary(program, names[i]);
+    slots[i].hash = h;
+    if (cache) cache->insert(h, *proc, slots[i]);
   };
   if (pool) {
     pool->parallel_for(names.size(), one);

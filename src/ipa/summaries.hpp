@@ -4,7 +4,7 @@
 // examined exactly once per edit.
 //
 // Contents per procedure:
-//   * a structural hash (drives recompilation analysis, §8),
+//   * the procedure digest (keys the §8 caches; see hash_procedure),
 //   * scalar/array MOD and REF sets (local effects only),
 //   * array def/use sections as RSDs (interprocedural dependence, §5.4),
 //   * static alignments and the executable DISTRIBUTE statements,
@@ -52,7 +52,7 @@ struct LocalReachingEntry {
 
 struct ProcSummary {
   std::string proc;
-  uint64_t hash = 0;
+  uint64_t hash = 0;  // hash_procedure, set by compute_summaries_into
   std::set<std::string> mod;  // variables assigned locally
   std::set<std::string> ref;  // variables read locally
   std::map<std::string, RsdList> defs;  // array sections defined locally
@@ -83,7 +83,7 @@ std::map<const Stmt*, std::map<std::string, std::set<DecompSpec>>>
 compute_local_reaching(const BoundProgram& program, const Procedure& proc,
                        const std::map<std::string, std::set<DecompSpec>>& inherited);
 
-/// Full local analysis of one procedure.
+/// Full local analysis of one procedure (`hash` left 0).
 ProcSummary compute_summary(const BoundProgram& program, const std::string& proc);
 
 class ThreadPool;
@@ -113,7 +113,9 @@ std::map<std::string, ProcSummary> compute_all_summaries(
     IpaSummaryCache* cache = nullptr, SummaryPhaseStats* stats = nullptr);
 std::map<std::string, ProcSummary> compute_all_summaries(const BoundProgram& program);
 
-/// Structural hash of a procedure body (order-sensitive, name-sensitive).
+/// The procedure's digest: fnv1a over the bytes write_procedure writes,
+/// source positions excluded. Keys the summary cache and, through
+/// ProcSummary::hash, the procedure cache.
 uint64_t hash_procedure(const Procedure& proc);
 
 }  // namespace fortd

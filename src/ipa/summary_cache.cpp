@@ -2,23 +2,34 @@
 
 #include "driver/compilation_db.hpp"
 #include "ir/ir_serialize.hpp"
-#include "support/compress.hpp"
 
 namespace fortd {
 
 const char kSummaryArtifactKind[] = "summary";
 
-uint64_t summary_artifact_format_hash() {
-  uint64_t h = 1469598103934665603ull;
-  for (const char* c = kSummaryArtifactKind; *c; ++c) {
-    h ^= static_cast<unsigned char>(*c);
-    h *= 1099511628211ull;
+void write_overlap_map(BinaryWriter& w,
+                       const std::map<std::string, OverlapOffsets>& m) {
+  w.count(m.size());
+  for (const auto& [array, off] : m) {
+    w.str(array);
+    w.count(off.pos.size());
+    for (int64_t v : off.pos) w.i64(v);
+    w.count(off.neg.size());
+    for (int64_t v : off.neg) w.i64(v);
   }
-  h ^= kSerializeFormatVersion;
-  h *= 1099511628211ull;
-  h ^= kCompressFormatVersion;
-  h *= 1099511628211ull;
-  return h;
+}
+
+std::map<std::string, OverlapOffsets> read_overlap_map(BinaryReader& r) {
+  std::map<std::string, OverlapOffsets> m;
+  size_t n = r.count();
+  for (size_t i = 0; i < n; ++i) {
+    OverlapOffsets& off = m[r.str()];
+    off.pos.resize(r.count());
+    for (int64_t& v : off.pos) v = r.i64();
+    off.neg.resize(r.count());
+    for (int64_t& v : off.neg) v = r.i64();
+  }
+  return m;
 }
 
 namespace {
@@ -27,36 +38,6 @@ std::vector<const Stmt*> preorder_stmts(const Procedure& proc) {
   std::vector<const Stmt*> out;
   walk_stmts(proc.body, [&](const Stmt& s) { out.push_back(&s); });
   return out;
-}
-
-void write_str_set(BinaryWriter& w, const std::set<std::string>& s) {
-  w.count(s.size());
-  for (const std::string& v : s) w.str(v);
-}
-
-std::set<std::string> read_str_set(BinaryReader& r) {
-  std::set<std::string> s;
-  size_t n = r.count();
-  for (size_t i = 0; i < n; ++i) s.insert(r.str());
-  return s;
-}
-
-void write_rsd_map(BinaryWriter& w, const std::map<std::string, RsdList>& m) {
-  w.count(m.size());
-  for (const auto& [array, list] : m) {
-    w.str(array);
-    write_rsd_list(w, list);
-  }
-}
-
-std::map<std::string, RsdList> read_rsd_map(BinaryReader& r) {
-  std::map<std::string, RsdList> m;
-  size_t n = r.count();
-  for (size_t i = 0; i < n; ++i) {
-    std::string array = r.str();
-    m[array] = read_rsd_list(r);
-  }
-  return m;
 }
 
 void write_idx_vec(BinaryWriter& w, const std::vector<size_t>& v) {
@@ -94,22 +75,10 @@ std::vector<uint8_t> IpaSummaryCache::serialize_entry(const Entry& entry) {
   w.count(s.local_reaching.size());
   for (const LocalReachingEntry& lr : s.local_reaching) {
     w.str(lr.callee);
-    w.count(lr.reaching.size());
-    for (const auto& [var, specs] : lr.reaching) {
-      w.str(var);
-      w.count(specs.size());
-      for (const DecompSpec& spec : specs) write_decomp_spec(w, spec);
-    }
+    write_decomp_sets(w, lr.reaching);
   }
   write_idx_vec(w, entry.call_idx);
-  w.count(s.overlaps.size());
-  for (const auto& [array, off] : s.overlaps) {
-    w.str(array);
-    w.count(off.pos.size());
-    for (int64_t v : off.pos) w.i64(v);
-    w.count(off.neg.size());
-    for (int64_t v : off.neg) w.i64(v);
-  }
+  write_overlap_map(w, s.overlaps);
   w.boolean(s.has_dynamic_decomp);
   w.u64(entry.stmt_count);
   return w.take();
@@ -144,29 +113,12 @@ std::optional<IpaSummaryCache::Entry> IpaSummaryCache::deserialize_entry(
   for (size_t i = 0; i < n; ++i) {
     LocalReachingEntry lr;
     lr.callee = r.str();
-    size_t m = r.count();
-    for (size_t k = 0; k < m; ++k) {
-      std::string var = r.str();
-      size_t nspecs = r.count();
-      std::set<DecompSpec>& specs = lr.reaching[var];
-      for (size_t j = 0; j < nspecs; ++j) specs.insert(read_decomp_spec(r));
-    }
+    lr.reaching = read_decomp_sets(r);
     s.local_reaching.push_back(std::move(lr));
   }
   entry.call_idx = read_idx_vec(r);
   if (entry.call_idx.size() != s.local_reaching.size()) return std::nullopt;
-  n = r.count();
-  for (size_t i = 0; i < n; ++i) {
-    std::string array = r.str();
-    OverlapOffsets off;
-    size_t m = r.count();
-    off.pos.reserve(m);
-    for (size_t k = 0; k < m; ++k) off.pos.push_back(r.i64());
-    m = r.count();
-    off.neg.reserve(m);
-    for (size_t k = 0; k < m; ++k) off.neg.push_back(r.i64());
-    s.overlaps[array] = std::move(off);
-  }
+  s.overlaps = read_overlap_map(r);
   s.has_dynamic_decomp = r.boolean();
   entry.stmt_count = static_cast<size_t>(r.u64());
   if (!r.ok() || !r.at_end()) return std::nullopt;
@@ -186,7 +138,8 @@ std::optional<IpaSummaryCache::Entry> IpaSummaryCache::fetch(uint64_t hash) {
   }
   if (store_) {
     if (auto payload = store_->load(kSummaryArtifactKind,
-                                    summary_artifact_format_hash(), hash)) {
+                                    artifact_format_hash(kSummaryArtifactKind),
+                                    hash)) {
       if (auto entry = deserialize_entry(*payload)) {
         std::lock_guard<std::mutex> lock(mu_);
         entries_[hash] = *entry;  // promote into the memory tier
@@ -250,7 +203,8 @@ void IpaSummaryCache::insert(uint64_t hash, const Procedure& proc,
   }
 
   if (store_)
-    store_->store(kSummaryArtifactKind, summary_artifact_format_hash(), hash,
+    store_->store(kSummaryArtifactKind,
+                  artifact_format_hash(kSummaryArtifactKind), hash,
                   serialize_entry(entry));
   std::lock_guard<std::mutex> lock(mu_);
   entries_[hash] = std::move(entry);

@@ -1,8 +1,9 @@
 // A content-addressed cache of per-procedure summaries, the IPA analogue
 // of the codegen CompilationCache: §8's observation is that local analysis
 // is a pure function of the procedure text, so its result can be keyed by
-// the structural hash (`hash_procedure`) and reused across compile()
-// calls whenever the procedure is unchanged.
+// the procedure digest (`hash_procedure`: fnv1a over the bytes
+// write_procedure writes, source positions excluded) and reused across
+// compile() calls whenever the procedure is unchanged.
 //
 // ProcSummary holds `const Stmt*` pointers into the AST it was computed
 // from (distribute_stmts, local_reaching[].call_stmt), which dangle for
@@ -24,14 +25,20 @@
 #include <vector>
 
 #include "ipa/summaries.hpp"
+#include "support/serialize.hpp"
 
 namespace fortd {
 
 class ContentStore;
 
-/// Artifact codec identity for the persistent tier.
+/// Artifact kind of the persistent tier (artifact_format_hash stamps it).
 extern const char kSummaryArtifactKind[];
-uint64_t summary_artifact_format_hash();
+
+/// Codec of per-array overlap offsets (ProcSummary::overlaps, and the
+/// overlap estimates the §8 digest covers).
+void write_overlap_map(BinaryWriter& w,
+                       const std::map<std::string, OverlapOffsets>& m);
+std::map<std::string, OverlapOffsets> read_overlap_map(BinaryReader& r);
 
 class IpaSummaryCache {
 public:

@@ -43,6 +43,24 @@ RsdList read_rsd_list(BinaryReader& r) {
   return out;
 }
 
+void write_rsd_map(BinaryWriter& w, const RsdMap& m) {
+  w.count(m.size());
+  for (const auto& [array, list] : m) {
+    w.str(array);
+    write_rsd_list(w, list);
+  }
+}
+
+RsdMap read_rsd_map(BinaryReader& r) {
+  RsdMap m;
+  size_t n = r.count();
+  for (size_t i = 0; i < n; ++i) {
+    std::string array = r.str();
+    m[array] = read_rsd_list(r);
+  }
+  return m;
+}
+
 void write_decomp_spec(BinaryWriter& w, const DecompSpec& d) {
   w.boolean(d.is_top);
   write_dist_specs(w, d.dists);
@@ -53,6 +71,26 @@ DecompSpec read_decomp_spec(BinaryReader& r) {
   d.is_top = r.boolean();
   d.dists = read_dist_specs(r);
   return d;
+}
+
+void write_decomp_sets(BinaryWriter& w, const DecompSets& m) {
+  w.count(m.size());
+  for (const auto& [var, specs] : m) {
+    w.str(var);
+    w.count(specs.size());
+    for (const DecompSpec& spec : specs) write_decomp_spec(w, spec);
+  }
+}
+
+DecompSets read_decomp_sets(BinaryReader& r) {
+  DecompSets m;
+  size_t n = r.count();
+  for (size_t i = 0; i < n; ++i) {
+    std::set<DecompSpec>& specs = m[r.str()];
+    size_t k = r.count();
+    for (size_t j = 0; j < k; ++j) specs.insert(read_decomp_spec(r));
+  }
+  return m;
 }
 
 }  // namespace fortd

@@ -194,10 +194,6 @@ void ServerLoop::serve_loop() {
       if (conn.doomed) continue;
       if (revents & (POLLERR | POLLNVAL)) {
         conn.doomed = true;
-        if (!conn.outbuf.empty()) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++counters_.disconnects_mid_reply;
-        }
         continue;
       }
       if (revents & (POLLIN | POLLHUP)) {
@@ -227,23 +223,24 @@ void ServerLoop::serve_loop() {
           reinterpret_cast<const uint8_t*>(conn->outbuf.data()),
           conn->outbuf.size(), sent);
       if (sent > 0) conn->outbuf.erase(0, sent);
-      if (st != IoStatus::Ok) {
-        conn->doomed = true;
-        std::lock_guard<std::mutex> lock(mu_);
-        ++counters_.disconnects_mid_reply;
-      }
+      if (st != IoStatus::Ok) conn->doomed = true;
       if (conn->closing && conn->outbuf.empty()) conn->doomed = true;
     }
 
-    // Reap.
+    // Reap. Output still queued on a doomed connection is a reply its
+    // peer never gets, whether the peer hung up before the reply was
+    // queued or while it was being written.
     for (auto it = conns_.begin(); it != conns_.end();) {
       if (it->second->doomed) {
         const ConnId id = it->first;
+        const bool reply_lost = !it->second->outbuf.empty();
         it = conns_.erase(it);
         {
           std::lock_guard<std::mutex> lock(mu_);
           live_.erase(std::remove(live_.begin(), live_.end(), id),
                       live_.end());
+          ++counters_.connections_closed;
+          if (reply_lost) ++counters_.disconnects_mid_reply;
         }
         if (on_closed_) on_closed_(id);
       } else {

@@ -11,8 +11,8 @@
 // drained under POLLOUT. Connections are independent: a client that
 // stalls mid-frame or sends garbage affects only itself.
 //
-// A peer that disappears while a reply is still queued (EPIPE, reset,
-// poll error) is *reaped and counted* (disconnects_mid_reply), never
+// A peer that disappears while a reply is still queued (EOF, EPIPE,
+// reset, poll error) is *reaped and counted* (disconnects_mid_reply), never
 // escalated: sockets write with MSG_NOSIGNAL so no SIGPIPE is raised,
 // and the loop keeps serving every other connection.
 #pragma once
@@ -88,6 +88,7 @@ class ServerLoop {
 
   struct Counters {
     uint64_t connections_accepted = 0;
+    uint64_t connections_closed = 0;     // reaped while serving
     uint64_t frame_errors = 0;           // decoder sticky-fail drops
     uint64_t disconnects_mid_reply = 0;  // peer gone with a reply queued
     uint64_t replies_dropped = 0;        // send() to an already-gone conn

@@ -1,5 +1,8 @@
 #include "remote/protocol.hpp"
 
+#include <limits>
+
+#include "codegen/options.hpp"
 #include "support/compress.hpp"
 #include "support/serialize.hpp"
 
@@ -78,16 +81,25 @@ std::optional<WireMessage> decode_message(const std::vector<uint8_t>& frame) {
     case MsgType::Error:
       m.text = r.str();
       break;
-    case MsgType::Compile:
+    case MsgType::Compile: {
       m.text = r.str();
-      m.copts.n_procs = static_cast<uint32_t>(r.u64());
+      const uint64_t n_procs = r.u64();
       m.copts.strategy = r.u8();
       m.copts.dyn_decomp = r.u8();
       m.copts.analyze = r.u8();
       m.copts.want_lint_json = r.u8();
       m.copts.want_timings = r.u8();
       m.copts.deadline_ms = static_cast<uint32_t>(r.u64());
+      // Options no Compiler accepts make the request malformed, as an
+      // out-of-range DistKind does in read_dist_spec.
+      if (n_procs == 0 || n_procs > std::numeric_limits<int>::max() ||
+          m.copts.strategy >
+              static_cast<uint8_t>(Strategy::RuntimeResolution) ||
+          m.copts.dyn_decomp > static_cast<uint8_t>(DynDecompOpt::Full))
+        r.fail();
+      m.copts.n_procs = static_cast<uint32_t>(n_procs);
       break;
+    }
     case MsgType::CompileReply:
       m.creply.status = r.u8();
       m.creply.findings = static_cast<uint32_t>(r.u64());

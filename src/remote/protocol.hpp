@@ -116,7 +116,8 @@ std::vector<uint8_t> encode_message(const WireMessage& m);
 
 /// Decode one frame payload; nullopt on any structural problem (unknown
 /// or reserved type, truncation, trailing bytes) — the BinaryReader
-/// discipline.
+/// discipline — and on a COMPILE whose n_procs is 0 or exceeds an int,
+/// or whose strategy or dyn_decomp lies outside its enum.
 std::optional<WireMessage> decode_message(const std::vector<uint8_t>& frame);
 
 }  // namespace fortd::remote

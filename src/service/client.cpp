@@ -1,5 +1,6 @@
 #include "service/client.hpp"
 
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 
@@ -77,22 +78,25 @@ std::optional<remote::WireMessage> recv_message(net::Socket& sock,
 
 }  // namespace
 
+std::optional<long long> parse_int_in(const std::string& text, long long lo,
+                                      long long hi) {
+  if (text.empty()) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE || v < lo || v > hi) return std::nullopt;
+  return v;
+}
+
 std::optional<ClientOptions> parse_server_endpoint(const std::string& spec) {
-  if (spec.empty()) return std::nullopt;
   ClientOptions opts;
   const auto colon = spec.rfind(':');
-  std::string port_part;
-  if (colon == std::string::npos) {
-    port_part = spec;
-  } else {
-    if (colon > 0) opts.host = spec.substr(0, colon);
-    port_part = spec.substr(colon + 1);
-  }
-  if (port_part.empty()) return std::nullopt;
-  char* end = nullptr;
-  const long port = std::strtol(port_part.c_str(), &end, 10);
-  if (*end != '\0' || port <= 0 || port > 65535) return std::nullopt;
-  opts.port = static_cast<int>(port);
+  if (colon != std::string::npos && colon > 0)
+    opts.host = spec.substr(0, colon);
+  const auto port = parse_int_in(
+      colon == std::string::npos ? spec : spec.substr(colon + 1), 1, 65535);
+  if (!port) return std::nullopt;
+  opts.port = static_cast<int>(*port);
   return opts;
 }
 

@@ -29,6 +29,12 @@ struct ClientOptions {
   uint64_t format_hash_override = 0;
 };
 
+/// `text` as a whole decimal number in [lo, hi]; nullopt when it is
+/// empty, has trailing characters or lies outside the range. Parses the
+/// numeric flags of fortdc and fortdd and the endpoint port.
+std::optional<long long> parse_int_in(const std::string& text, long long lo,
+                                      long long hi);
+
 /// Parse "host:port" (host optional: ":4816" and "4816" also work).
 /// nullopt unless the port is a whole decimal number in 1..65535.
 std::optional<ClientOptions> parse_server_endpoint(const std::string& spec);

@@ -354,6 +354,7 @@ std::string CompileService::metrics_json() const {
   put_ms("compile_ms_total", metrics_.compile_ms_total);
   out << "\"reply_bytes_total\":" << metrics_.reply_bytes_total
       << ",\"connections_accepted\":" << lc.connections_accepted
+      << ",\"connections_closed\":" << lc.connections_closed
       << ",\"disconnects_mid_reply\":" << lc.disconnects_mid_reply
       << ",\"replies_dropped\":" << lc.replies_dropped
       << ",\"ast_cache\":{\"hits\":" << ac.hits << ",\"misses\":" << ac.misses

@@ -119,4 +119,27 @@ size_t BinaryReader::count() {
   return static_cast<size_t>(n);
 }
 
+void write_str_vec(BinaryWriter& w, const std::vector<std::string>& v) {
+  w.count(v.size());
+  for (const std::string& s : v) w.str(s);
+}
+
+std::vector<std::string> read_str_vec(BinaryReader& r) {
+  std::vector<std::string> v(r.count());
+  for (std::string& s : v) s = r.str();
+  return v;
+}
+
+void write_str_set(BinaryWriter& w, const std::set<std::string>& s) {
+  w.count(s.size());
+  for (const std::string& v : s) w.str(v);
+}
+
+std::set<std::string> read_str_set(BinaryReader& r) {
+  std::set<std::string> s;
+  size_t n = r.count();
+  for (size_t i = 0; i < n; ++i) s.insert(r.str());
+  return s;
+}
+
 }  // namespace fortd

@@ -1,9 +1,12 @@
 // Versioned binary serialization primitives for on-disk compiler
-// artifacts (see driver/compilation_db.hpp).
+// artifacts (see driver/compilation_db.hpp) and for every cache digest.
 //
 // BinaryWriter appends varint-coded integers (zigzag for signed),
 // length-prefixed strings, bit-cast doubles, and counted containers to a
-// byte buffer. BinaryReader is the mirror image with *stream semantics*:
+// byte buffer. A digest is fnv1a over the bytes the artifact codecs write
+// (with source positions switched off), so every count, presence flag and
+// field an artifact carries is keyed. BinaryReader is the mirror image
+// with *stream semantics*:
 // a read past the end (or an implausible element count) sets a sticky
 // fail bit instead of throwing, and every subsequent read returns a zero
 // value. Deserializers therefore read unconditionally and check `ok() &&
@@ -13,6 +16,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,11 +29,22 @@ namespace fortd {
 ///     SPMD bodies keep source-mapped diagnostics.
 constexpr uint32_t kSerializeFormatVersion = 3;
 
-/// FNV-1a over a byte range — the checksum used by artifact envelopes.
+/// FNV-1a over a byte range — the checksum used by artifact envelopes
+/// and the one hash behind every cache digest.
 uint64_t fnv1a(const uint8_t* data, size_t size, uint64_t seed = 1469598103934665603ull);
+inline uint64_t fnv1a(const std::vector<uint8_t>& bytes) {
+  return fnv1a(bytes.data(), bytes.size());
+}
 
 class BinaryWriter {
 public:
+  /// `positions == false` makes write_loc (frontend/ast_serialize.hpp)
+  /// write nothing. Digests switch positions off: cached SPMD code holds
+  /// positions inside other procedures, so hashing them would turn a
+  /// moved callee into a recompiled caller.
+  explicit BinaryWriter(bool positions = true) : positions_(positions) {}
+  bool positions() const { return positions_; }
+
   void u8(uint8_t v) { buf_.push_back(v); }
   void u64(uint64_t v);            // LEB128 varint
   void i64(int64_t v);             // zigzag + varint
@@ -46,6 +61,7 @@ public:
 
 private:
   std::vector<uint8_t> buf_;
+  bool positions_;
 };
 
 class BinaryReader {
@@ -83,5 +99,10 @@ private:
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+void write_str_vec(BinaryWriter& w, const std::vector<std::string>& v);
+std::vector<std::string> read_str_vec(BinaryReader& r);
+void write_str_set(BinaryWriter& w, const std::set<std::string>& s);
+std::set<std::string> read_str_set(BinaryReader& r);
 
 }  // namespace fortd

@@ -4,9 +4,9 @@
 // recompilation analysis (§8).
 #include <gtest/gtest.h>
 
+#include "driver/compiler.hpp"
 #include "ipa/cloning.hpp"
 #include "ipa/overlap_prop.hpp"
-#include "ipa/recompilation.hpp"
 
 namespace fortd {
 namespace {
@@ -306,6 +306,16 @@ TEST(Overlaps, EstimatePropagatesUpAndDown) {
 
 // ---------------------------------------------------------------------------
 
+// §8 is decided by the procedure cache: compile, then compile the edited
+// program warm in the same Compiler and read what it regenerated.
+std::set<std::string> regenerated_by_edit(const std::string& before_src,
+                                          const std::string& after_src) {
+  Compiler compiler;
+  compiler.compile_source(before_src);
+  CompileResult r = compiler.compile_source(after_src);
+  return {r.regenerated.begin(), r.regenerated.end()};
+}
+
 TEST(Recompilation, OnlyEditedAndAffectedProceduresRecompile) {
   const char* before_src = kFigure4;
   // Edit: scale f2's right-hand side — the body changes but none of the
@@ -315,16 +325,7 @@ TEST(Recompilation, OnlyEditedAndAffectedProceduresRecompile) {
   ASSERT_NE(pos, std::string::npos);
   after_src.replace(pos, 20, "z(k,i) = 2.0*f(z(k+5,i))");
 
-  auto record_of = [](const std::string& src) {
-    BoundProgram bp = parse_and_bind(src);
-    IpaContext ctx = run_ipa(bp);
-    OverlapEstimates est =
-        compute_overlap_estimates(bp, ctx.acg, ctx.summaries);
-    return make_compilation_record(bp, ctx, est);
-  };
-  CompilationRecord before = record_of(before_src);
-  CompilationRecord after = record_of(after_src);
-  auto to_recompile = procedures_to_recompile(before, after);
+  auto to_recompile = regenerated_by_edit(before_src, after_src);
   // f2 (and its clone) changed; p1 and f1 keep their interface inputs.
   EXPECT_TRUE(to_recompile.count("f2"));
   EXPECT_FALSE(to_recompile.count("p1"));
@@ -340,30 +341,13 @@ TEST(Recompilation, InterfaceChangePropagatesToCallers) {
   ASSERT_NE(pos, std::string::npos);
   after_src.replace(pos, 20, "z(k,i) = f(z(k+5,i))\n        z(k+1,i) = 0.0");
 
-  auto record_of = [](const std::string& src) {
-    BoundProgram bp = parse_and_bind(src);
-    IpaContext ctx = run_ipa(bp);
-    OverlapEstimates est =
-        compute_overlap_estimates(bp, ctx.acg, ctx.summaries);
-    return make_compilation_record(bp, ctx, est);
-  };
-  auto to_recompile =
-      procedures_to_recompile(record_of(before_src), record_of(after_src));
+  auto to_recompile = regenerated_by_edit(before_src, after_src);
   EXPECT_TRUE(to_recompile.count("f2"));
   EXPECT_TRUE(to_recompile.count("f1"));  // consumes f2's interface
 }
 
 TEST(Recompilation, NoEditNoRecompile) {
-  auto record_of = [](const std::string& src) {
-    BoundProgram bp = parse_and_bind(src);
-    IpaContext ctx = run_ipa(bp);
-    OverlapEstimates est =
-        compute_overlap_estimates(bp, ctx.acg, ctx.summaries);
-    return make_compilation_record(bp, ctx, est);
-  };
-  auto to_recompile =
-      procedures_to_recompile(record_of(kFigure4), record_of(kFigure4));
-  EXPECT_TRUE(to_recompile.empty());
+  EXPECT_TRUE(regenerated_by_edit(kFigure4, kFigure4).empty());
 }
 
 }  // namespace

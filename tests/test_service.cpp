@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -16,6 +17,8 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <random>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,6 +28,7 @@
 #include "codegen/spmd_printer.hpp"
 #include "cache_dir.hpp"
 #include "driver/compiler.hpp"
+#include "example_programs.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "service/client.hpp"
@@ -274,6 +278,28 @@ TEST(RemoteProtocol, RemovedCacheMessageTypesDecodeAsMalformed) {
   }
 }
 
+TEST(RemoteProtocol, CompileWithOptionsNoCompilerAcceptsIsMalformed) {
+  auto decodes = [](const remote::CompileOptionsWire& copts) {
+    remote::WireMessage m;
+    m.type = remote::MsgType::Compile;
+    m.text = "program p\nend\n";
+    m.copts = copts;
+    return remote::decode_message(remote::encode_message(m)).has_value();
+  };
+  EXPECT_TRUE(decodes(wire_options()));
+  auto bad = wire_options();
+  bad.n_procs = 0;
+  EXPECT_FALSE(decodes(bad));
+  bad.n_procs = 1u << 31;  // no int holds it
+  EXPECT_FALSE(decodes(bad));
+  bad = wire_options();
+  bad.strategy = static_cast<uint8_t>(Strategy::RuntimeResolution) + 1;
+  EXPECT_FALSE(decodes(bad));
+  bad = wire_options();
+  bad.dyn_decomp = static_cast<uint8_t>(DynDecompOpt::Full) + 1;
+  EXPECT_FALSE(decodes(bad));
+}
+
 // ---------------------------------------------------------------------------
 // fortdc -server endpoint parsing
 // ---------------------------------------------------------------------------
@@ -421,6 +447,242 @@ TEST(RecompilationDigest, RealConstantEditsRegenerateAtEveryMagnitude) {
     EXPECT_EQ(print_spmd(r.spmd), local_spmd(leaf_with_coefficient(after)))
         << before << " -> " << after;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Warm equals cold: seeded one-procedure edits over generated programs
+// ---------------------------------------------------------------------------
+
+/// What a compile reports: the listing, every finding as JSON, and the
+/// verifier's finding count (or the error, when the compile fails).
+struct CompileOutputs {
+  std::string listing;
+  std::string lint_json;
+  size_t verify_findings = 0;
+
+  bool operator==(const CompileOutputs&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const CompileOutputs& o) {
+  return os << o.listing << "\nlint: " << o.lint_json
+            << "\nverify findings: " << o.verify_findings;
+}
+
+CompileOutputs outputs_of(Compiler& compiler, const std::string& src) {
+  CompileOutputs out;
+  try {
+    CompileResult r = compiler.compile_source(src);
+    out.listing = print_spmd(r.spmd);
+    out.verify_findings = r.verify.diags.size();
+  } catch (const CompileError& e) {
+    out.listing = std::string("error: ") + e.what();
+  }
+  out.lint_json = compiler.last_lint_report().json();
+  return out;
+}
+
+/// One procedure of a source text: its lines [begin, end) and formals.
+struct ProcSpan {
+  size_t begin = 0, end = 0;
+  std::vector<std::string> formals;
+};
+
+std::vector<std::string> split_lines(const std::string& src) {
+  std::vector<std::string> lines;
+  std::istringstream in(src);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+std::vector<ProcSpan> procedure_spans(const std::vector<std::string>& lines) {
+  static const std::regex head(
+      R"(^\s*(program|subroutine)\s+\w+\s*(\((.*)\))?)");
+  static const std::regex tail(R"(^\s*end\s*$)");
+  static const std::regex word(R"(\w+)");
+  std::vector<ProcSpan> spans;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    std::smatch m;
+    if (std::regex_search(lines[i], m, head)) {
+      ProcSpan span;
+      span.begin = i;
+      const std::string formals = m[3];
+      for (std::sregex_iterator it(formals.begin(), formals.end(), word), e;
+           it != e; ++it)
+        span.formals.push_back(it->str());
+      spans.push_back(span);
+    } else if (std::regex_match(lines[i], tail) && !spans.empty()) {
+      spans.back().end = i + 1;
+    }
+  }
+  return spans;
+}
+
+enum class EditKind {
+  RealConstant,
+  Regroup,
+  RenameLocal,
+  StencilShift,
+  InsertStmt
+};
+
+const char* edit_name(EditKind kind) {
+  switch (kind) {
+    case EditKind::RealConstant: return "real constant";
+    case EditKind::Regroup: return "regrouped intrinsic";
+    case EditKind::RenameLocal: return "renamed local";
+    case EditKind::StencilShift: return "stencil shift";
+    case EditKind::InsertStmt: return "inserted statement";
+  }
+  return "?";
+}
+
+/// A before/after pair differing in one procedure, or nullopt when the
+/// edit does not apply to the procedure at `span`.
+std::optional<std::pair<std::string, std::string>> apply_edit(
+    const std::vector<std::string>& lines, const ProcSpan& span,
+    EditKind kind) {
+  static const std::regex assign(R"(^(\s+\w+(\([^=]*\))?\s*=\s*)(.+)$)");
+  static const std::regex real(R"(\b(\d+\.\d+)\b)");
+  static const std::regex shift(R"(([(,]\s*\w+\s*[+-]\s*)(\d+)(\s*[,)]))");
+  static const std::regex decl(R"(^\s*integer\s+(.*)$)");
+  std::vector<std::string> before = lines, after = lines;
+  for (size_t i = span.begin + 1; i + 1 < span.end; ++i) {
+    const std::string& line = lines[i];
+    std::smatch m;
+    switch (kind) {
+      case EditKind::RealConstant:
+        if (std::regex_search(line, m, real)) {
+          // 1e-4 < 1/4096: below a fixed-point hash's resolution.
+          std::ostringstream moved;
+          moved.precision(10);
+          moved << std::stod(m[1]) + 1e-4;
+          after[i] = m.prefix().str() + moved.str() + m.suffix().str();
+          return std::make_pair(join_lines(before), join_lines(after));
+        }
+        break;
+      case EditKind::Regroup:
+        if (std::regex_match(line, m, assign)) {
+          before[i] = m[1].str() + "min(max(" + m[3].str() + ", 3.0), 2.0)";
+          after[i] = m[1].str() + "min(max(" + m[3].str() + ", 3.0, 2.0))";
+          return std::make_pair(join_lines(before), join_lines(after));
+        }
+        break;
+      case EditKind::RenameLocal:
+        if (std::regex_match(line, m, decl)) {
+          static const std::regex word(R"(\w+)");
+          const std::string names = m[1];
+          for (std::sregex_iterator it(names.begin(), names.end(), word), e;
+               it != e; ++it) {
+            const std::string name = it->str();
+            if (std::count(span.formals.begin(), span.formals.end(), name))
+              continue;
+            const std::regex use("\\b" + name + "\\b");
+            for (size_t k = span.begin + 1; k + 1 < span.end; ++k)
+              after[k] = std::regex_replace(lines[k], use, name + "r7");
+            return std::make_pair(join_lines(before), join_lines(after));
+          }
+        }
+        break;
+      case EditKind::StencilShift:
+        if (std::regex_search(line, m, shift)) {
+          after[i] = m.prefix().str() + m[1].str() +
+                     std::to_string(std::stoi(m[2]) + 1) + m[3].str() +
+                     m.suffix().str();
+          return std::make_pair(join_lines(before), join_lines(after));
+        }
+        break;
+      case EditKind::InsertStmt:
+        if (std::regex_match(line, m, assign)) {
+          after.insert(after.begin() + static_cast<long>(i) + 1, line);
+          return std::make_pair(join_lines(before), join_lines(after));
+        }
+        break;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(WarmEqualsCold, SeededEditsOnEveryTier) {
+  // Each edit changes one procedure. A warm compile of the edited program
+  // must report what a cold compile reports, on every cache tier. Source
+  // positions are not compared: cached SPMD code keeps the positions it
+  // was generated with.
+  std::vector<std::pair<std::string, std::string>> programs = {
+      {"fan_out", bench::fan_out(5, 64)},
+      {"chain_fanout", bench::chain_fanout(3, 3, 64)},
+      {"cloning_fanout", bench::cloning_fanout(3, 3, 32)},
+      {"call_chain", bench::call_chain(4, 64)},
+  };
+  for (const examples::Example& ex : examples::kExamples)
+    programs.emplace_back(ex.name, ex.source);
+  const EditKind kinds[] = {EditKind::RealConstant, EditKind::Regroup,
+                            EditKind::RenameLocal, EditKind::StencilShift,
+                            EditKind::InsertStmt};
+
+  CodegenOptions opt;
+  opt.n_procs = 4;
+  LintOptions lint;
+  lint.analyze = true;
+  lint.verify_spmd = true;
+  const std::string dir = fresh_cache_dir("warm_cold_disk");
+  TestService ts("warm_cold");
+  ASSERT_TRUE(ts.started);
+  auto client = ts.client();
+  remote::CompileOptionsWire copts = wire_options();
+  copts.analyze = 1;
+  copts.want_lint_json = 1;
+
+  std::mt19937 rng(20260);  // fixed seed: the same edits on every run
+  std::map<EditKind, int> cases;
+  for (const auto& [name, src] : programs) {
+    const std::vector<std::string> lines = split_lines(src);
+    std::vector<ProcSpan> spans = procedure_spans(lines);
+    ASSERT_FALSE(spans.empty()) << name;
+    for (EditKind kind : kinds) {
+      std::shuffle(spans.begin(), spans.end(), rng);
+      int applied = 0;
+      for (const ProcSpan& span : spans) {
+        if (applied == 2) break;
+        auto edit = apply_edit(lines, span, kind);
+        if (!edit) continue;
+        ++applied;
+        ++cases[kind];
+        const auto& [before, after] = *edit;
+        const std::string where = name + ": " + edit_name(kind) + " in " +
+                                  lines[span.begin];
+        Compiler cold(opt, {}, lint);
+        const CompileOutputs expected = outputs_of(cold, after);
+
+        Compiler memory(opt, {}, lint);
+        outputs_of(memory, before);
+        EXPECT_EQ(outputs_of(memory, after), expected)
+            << "memory tier, " << where;
+
+        Compiler disk_before(opt, {}, lint, CacheOptions{dir});
+        outputs_of(disk_before, before);
+        Compiler disk(opt, {}, lint, CacheOptions{dir});
+        EXPECT_EQ(outputs_of(disk, after), expected) << "disk tier, " << where;
+
+        std::string reason;
+        ASSERT_TRUE(client.compile(before, copts, &reason)) << reason;
+        auto served = client.compile(after, copts, &reason);
+        ASSERT_TRUE(served) << reason;
+        EXPECT_EQ(served->spmd, expected.listing) << "fortdd, " << where;
+        EXPECT_EQ(served->lint_json, expected.lint_json) << "fortdd, " << where;
+        const size_t lint_warnings =
+            static_cast<size_t>(cold.last_stats().lint_warnings);
+        EXPECT_EQ(served->findings, lint_warnings + expected.verify_findings)
+            << "fortdd, " << where;
+      }
+    }
+  }
+  for (EditKind kind : kinds) EXPECT_GE(cases[kind], 10) << edit_name(kind);
 }
 
 TEST(CompileService, RestartedDaemonIsWarmFromDisk) {
@@ -624,7 +886,13 @@ TEST(CompileService, QueuedRequestPastItsDeadlineIsDroppedNotCompiled) {
     auto client = ts.client();
     expired = client.compile(bench::fan_out(2, 64), copts, &reason);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  // The deadline counts from admission: once the waiter's COMPILE is
+  // admitted, outwait its deadline in the queue, then free the executor.
+  for (int spin = 0; spin < 2000; ++spin) {
+    if (json_uint(ts.svc->metrics_json(), "requests") >= 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   release.set_value();
   hog.join();
   waiter.join();
@@ -694,6 +962,35 @@ TEST(CompileService, DefaultDeadlineBoundsRequestsThatCarryNone) {
   EXPECT_EQ(compiles.load(), 1) << "the expired request must not compile";
 }
 
+TEST(CompileService, CompileWithZeroProcessorsIsDroppedAndTheDaemonServesOn) {
+  // A COMPILE with n_procs = 0 once reached the code generator and killed
+  // the daemon on SIGFPE.
+  TestService ts("zero_procs");
+  const std::string src = bench::fan_out(2, 64);
+  auto sock = net::connect_to("127.0.0.1", ts.svc->port(), 5000);
+  ASSERT_TRUE(sock);
+  net::FrameDecoder decoder;
+  remote::WireMessage hello;
+  hello.type = remote::MsgType::Hello;
+  hello.format_hash = remote::remote_wire_format_hash();
+  ASSERT_TRUE(write_message(*sock, hello));
+  auto hello_ok = read_message(*sock, decoder);
+  ASSERT_TRUE(hello_ok && hello_ok->type == remote::MsgType::HelloOk);
+  remote::WireMessage req;
+  req.type = remote::MsgType::Compile;
+  req.request_id = 5;
+  req.text = src;
+  req.copts = wire_options(0);
+  ASSERT_TRUE(write_message(*sock, req));
+  EXPECT_FALSE(read_message(*sock, decoder)) << "the daemon must drop it";
+  EXPECT_EQ(json_uint(ts.svc->metrics_json(), "protocol_errors"), 1u);
+
+  std::string reason;
+  auto r = ts.client().compile(src, wire_options(), &reason);
+  ASSERT_TRUE(r) << reason;
+  EXPECT_EQ(r->spmd, local_spmd(src));
+}
+
 TEST(CompileService, DrainFinishesInFlightWorkThenRefusesNewRequests) {
   TestService ts("drain");
   auto client = ts.client();
@@ -711,7 +1008,14 @@ TEST(CompileService, DrainFinishesInFlightWorkThenRefusesNewRequests) {
 }
 
 TEST(CompileService, ClientGoneBeforeReplyIsCountedNotFatal) {
-  TestService ts("gone");
+  // The compile waits until the daemon has seen the client close its
+  // socket: a reply written before the close reached the daemon would be
+  // delivered, and nothing would be lost to count.
+  std::promise<void> closed;
+  std::shared_future<void> client_closed = closed.get_future().share();
+  service::ServiceOptions opt;
+  opt.before_compile = [client_closed] { client_closed.wait(); };
+  TestService ts("gone", opt);
   const std::string src = bench::fan_out(8, 64);
   {
     // Handshake, send a COMPILE, vanish before the reply can be written.
@@ -748,7 +1052,12 @@ TEST(CompileService, ClientGoneBeforeReplyIsCountedNotFatal) {
     ASSERT_TRUE(net::encode_frame(framed, encode_message(req)));
     ASSERT_EQ(sock->send_all(framed.data(), framed.size(), 2000),
               net::IoStatus::Ok);
-  }  // socket closes here, compile still running
+  }  // socket closes here, before the compile runs
+  for (int spin = 0; spin < 2000; ++spin) {
+    if (json_uint(ts.svc->metrics_json(), "connections_closed") >= 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  closed.set_value();
 
   // The daemon must survive, count the loss, and keep serving.
   for (int spin = 0; spin < 200; ++spin) {
@@ -762,7 +1071,7 @@ TEST(CompileService, ClientGoneBeforeReplyIsCountedNotFatal) {
   const std::string json = ts.svc->metrics_json();
   EXPECT_GE(json_uint(json, "disconnects_mid_reply") +
                 json_uint(json, "replies_dropped"),
-            1u);
+            1u) << json;
   std::string reason;
   auto r = ts.client().compile(src, wire_options(), &reason);
   ASSERT_TRUE(r) << reason;
@@ -1136,6 +1445,28 @@ TEST(FortdcServer, MalformedPortExitsTwoWithoutCompiling) {
   EXPECT_EQ(run.exit_code, 2) << run.err;
   EXPECT_TRUE(run.out.empty()) << run.out;
   EXPECT_NE(run.err.find("HOST:PORT"), std::string::npos) << run.err;
+}
+
+TEST(FortdcFlags, MalformedValuesExitTwoNamingTheFlag) {
+  // -p 0 and -p x once died on SIGFPE; the other values were accepted.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"-p 0", "-p"},         {"-p x", "-p"},
+      {"-p -2", "-p"},        {"-P 0", "-P"},
+      {"-j 0", "-j"},         {"-j 2x", "-j"},
+      {"-O 7", "-O"},         {"-O -1", "-O"},
+      {"-s bogus", "-s"},     {"-cache-max-bytes -5", "-cache-max-bytes"},
+      {"-server-timeout-ms 0", "-server-timeout-ms"},
+      {"-p 0 -server 127.0.0.1:1", "-p"},
+  };
+  for (const auto& [args, flag] : bad) {
+    const FortdcRun run = run_fortdc("bad_flag", args, bench::fan_out(2, 64));
+    EXPECT_EQ(run.exit_code, 2) << args << ": " << run.err;
+    EXPECT_TRUE(run.out.empty()) << args << ": " << run.out;
+    EXPECT_EQ(run.err.rfind("fortdc: " + flag + " expects", 0), 0u)
+        << args << ": " << run.err;
+    EXPECT_EQ(std::count(run.err.begin(), run.err.end(), '\n'), 1)
+        << args << ": " << run.err;
+  }
 }
 
 TEST(FortdcServer, UnreachableDaemonFallsBackToLocalByteIdentically) {
