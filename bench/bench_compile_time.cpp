@@ -163,7 +163,7 @@ void BM_VectorizationAblation(benchmark::State& state) {
                            : fortd::Strategy::Intraprocedural;
   fortd::Compiler compiler(opt);
   fortd::CompileResult r = compiler.compile_source(src);
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd);
     { auto sink = last.messages; benchmark::DoNotOptimize(sink); }

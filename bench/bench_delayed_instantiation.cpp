@@ -21,7 +21,7 @@ void run_fig4(benchmark::State& state, fortd::Strategy strategy) {
   opt.strategy = strategy;
   fortd::Compiler compiler(opt);
   fortd::CompileResult r = compiler.compile_source(fortd::bench::fig4(n, n));
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd);
     { auto sink = last.sim_time_us; benchmark::DoNotOptimize(sink); }

@@ -20,7 +20,7 @@ void run_fig15(benchmark::State& state, fortd::DynDecompOpt level) {
   fortd::Compiler compiler(opt);
   fortd::CompileResult r =
       compiler.compile_source(fortd::bench::fig15(n, steps));
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd);
     { auto sink = last.sim_time_us; benchmark::DoNotOptimize(sink); }

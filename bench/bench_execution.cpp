@@ -1,11 +1,13 @@
-// Execution backends head to head: the threaded message-passing runtime
-// vs the logical-clock simulator vs the serial reference, on the same
-// compiled SPMD programs at P=4. The simulator charges a CostModel but
-// runs on one thread; the threaded backend spends real wall-clock time
-// blocking on rendezvous channels. Both report identical message/byte
-// counts (the harness asserts this in tests/test_runtime.cpp) — what
-// this benchmark adds is the *time* comparison, and a sanity check that
-// a real P=4 execution is not absurdly slower than simulating it.
+// Execution backends head to head: the rendezvous runtime (`threads`) vs
+// the logical-clock simulator vs the serial reference, on the same
+// compiled SPMD programs at P=4. Both parallel backends run the four
+// processors as fibers on one thread under one scheduler: the simulator
+// buffers sends and charges a CostModel, while `threads` makes each send
+// wait until its receiver took the message (a fiber switch per message)
+// and charges nothing. Both report identical message/byte counts (the
+// harness asserts this in tests/test_runtime.cpp) — what this benchmark
+// adds is the *time* comparison of the two transports against the
+// serial evaluator.
 #include <benchmark/benchmark.h>
 
 #include "driver/compiler.hpp"

@@ -19,7 +19,7 @@ void BM_Figure2_CompiledStencil(benchmark::State& state) {
   fortd::Compiler compiler(opt);
   fortd::CompileResult r =
       compiler.compile_source(fortd::bench::stencil1d(100));
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd);
     { auto sink = last.sim_time_us; benchmark::DoNotOptimize(sink); }
@@ -41,7 +41,7 @@ void BM_Figure10_InterproceduralFig4(benchmark::State& state) {
   opt.n_procs = 4;
   fortd::Compiler compiler(opt);
   fortd::CompileResult r = compiler.compile_source(fortd::bench::fig4(100, 100));
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd);
     { auto sink = last.sim_time_us; benchmark::DoNotOptimize(sink); }
@@ -59,7 +59,7 @@ void BM_Figure12_ImmediateFig4(benchmark::State& state) {
   opt.strategy = fortd::Strategy::Intraprocedural;
   fortd::Compiler compiler(opt);
   fortd::CompileResult r = compiler.compile_source(fortd::bench::fig4(100, 100));
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd);
     { auto sink = last.sim_time_us; benchmark::DoNotOptimize(sink); }

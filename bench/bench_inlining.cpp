@@ -27,7 +27,7 @@ void BM_Interprocedural(benchmark::State& state) {
   opt.n_procs = 4;
   fortd::Compiler compiler(opt);
   fortd::CompileResult r = compiler.compile_source(src);
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd);
     { auto sink = last.messages; benchmark::DoNotOptimize(sink); }
@@ -47,7 +47,7 @@ void BM_FullyInlined(benchmark::State& state) {
   fortd::CodegenOptions opt;
   opt.n_procs = 4;
   fortd::SpmdProgram spmd = fortd::generate_spmd(bp, ctx, opt);
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(spmd);
     { auto sink = last.messages; benchmark::DoNotOptimize(sink); }

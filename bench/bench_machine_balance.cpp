@@ -20,7 +20,7 @@ void run_dgefa_with(benchmark::State& state, const fortd::CostModel& cm) {
   opt.n_procs = procs;
   fortd::Compiler compiler(opt);
   fortd::CompileResult r = compiler.compile_source(fortd::bench::dgefa(n));
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd, cm);
     { auto sink = last.sim_time_us; benchmark::DoNotOptimize(sink); }
@@ -52,7 +52,7 @@ void BM_Fig4AlphaSweep(benchmark::State& state) {
                          : fortd::Strategy::Intraprocedural;
   fortd::Compiler compiler(opt);
   fortd::CompileResult r = compiler.compile_source(fortd::bench::fig4(128, 128));
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd, cm);
     { auto sink = last.sim_time_us; benchmark::DoNotOptimize(sink); }

@@ -30,7 +30,7 @@ void run_sum(benchmark::State& state, fortd::Strategy strategy) {
   opt.strategy = strategy;
   fortd::Compiler compiler(opt);
   fortd::CompileResult r = compiler.compile_source(sum_source(n));
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd);
     { auto sink = last.sim_time_us; benchmark::DoNotOptimize(sink); }

@@ -22,7 +22,7 @@ void run_stencil(benchmark::State& state, fortd::Strategy strategy) {
   fortd::Compiler compiler(opt);
   fortd::CompileResult r =
       compiler.compile_source(fortd::bench::stencil1d(n));
-  fortd::RunResult last;
+  fortd::ExecResult last;
   for (auto _ : state) {
     last = fortd::simulate(r.spmd);
     { auto sink = last.sim_time_us; benchmark::DoNotOptimize(sink); }

@@ -64,7 +64,7 @@ int main(int argc, char**) {
   CompileResult result = compiler.compile_source(kAdi);
   if (verbose) std::printf("%s\n", print_spmd(result.spmd).c_str());
 
-  RunResult run = simulate(result.spmd);
+  ExecResult run = simulate(result.spmd);
   std::printf(
       "simulated time: %.1f us, point-to-point messages: %lld, data remaps: "
       "%lld (%lld KB moved)\n",

@@ -135,7 +135,7 @@ int main(int argc, char**) {
       result.spmd.stats.delayed_iter_sets_exported,
       result.spmd.stats.delayed_comms_exported);
 
-  RunResult run = simulate(result.spmd);
+  ExecResult run = simulate(result.spmd);
   std::printf("simulated time: %.1f us, messages: %lld, bytes: %lld\n",
               run.sim_time_us, static_cast<long long>(run.messages),
               static_cast<long long>(run.bytes));

@@ -21,10 +21,11 @@
 //                   against a serial execution of the original program,
 //                   and (threads backend) cross-check observed message
 //                   counts/bytes against the simulator's predictions
-//     -backend B    sim | threads: execution backend for -run (default
-//                   threads — one OS thread per SPMD process exchanging
-//                   messages through rendezvous channels; sim is the
-//                   logical-clock machine simulator)
+//     -backend B    sim | threads: execution backend for -run. Both run
+//                   every SPMD process as a fiber on one thread. threads
+//                   (the default; no OS thread runs despite the name)
+//                   exchanges messages through rendezvous channels; sim
+//                   buffers them and charges the logical-clock cost model
 //     -analyze      run the interprocedural lint checkers and the SPMD
 //                   communication verifier; print findings to stderr
 //     -Werror       with -analyze: exit 3 when any finding is reported

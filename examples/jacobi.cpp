@@ -49,7 +49,7 @@ int main(int argc, char**) {
   CompileResult result = compiler.compile_source(kJacobi);
   if (verbose) std::printf("%s\n", print_spmd(result.spmd).c_str());
 
-  RunResult run = simulate(result.spmd);
+  ExecResult run = simulate(result.spmd);
   // Per time step: one +1 shift and one -1 shift, each 3 guarded
   // messages at P=4 -> 6 messages x 20 steps = 120.
   std::printf("simulated time: %.1f us, messages: %lld (expect 120), bytes: %lld\n",

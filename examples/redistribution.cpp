@@ -80,7 +80,7 @@ int main(int argc, char**) {
     options.dyn_decomp = level.opt;
     Compiler compiler(options);
     CompileResult result = compiler.compile_source(kFigure15);
-    RunResult run = simulate(result.spmd);
+    ExecResult run = simulate(result.spmd);
 
     // Verify values: x(i) = i, +1 twenty times, then overwritten by 2i.
     DecompSpec block;

@@ -64,7 +64,7 @@ int main(int argc, char**) {
   if (verbose)
     std::printf("%s\n", print_spmd(result.spmd).c_str());
 
-  RunResult run = simulate(result.spmd);
+  ExecResult run = simulate(result.spmd);
   std::printf("simulated time: %.1f us, messages: %lld, bytes: %lld\n",
               run.sim_time_us, static_cast<long long>(run.messages),
               static_cast<long long>(run.bytes));

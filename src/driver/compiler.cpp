@@ -177,14 +177,12 @@ std::string Compiler::cache_stats_json() const {
   return out.str();
 }
 
-RunResult compile_and_run(std::string_view source, const CodegenOptions& options,
-                          CostModel cost_model) {
+ExecResult compile_and_run(std::string_view source,
+                           const CodegenOptions& options,
+                           const CostModel& cost_model) {
   Compiler compiler(options);
   CompileResult r = compiler.compile_source(source);
-  // Reuse the compiler's pool for the simulated processors; Machine grows
-  // it to cover options.n_procs concurrent processor bodies.
-  Machine machine(cost_model, compiler.pool());
-  return machine.run(r.spmd);
+  return simulate(r.spmd, cost_model);
 }
 
 }  // namespace fortd

@@ -2,7 +2,7 @@
 //
 //   fortd::Compiler compiler(options);
 //   fortd::CompileResult r = compiler.compile_source(fortran_d_text);
-//   fortd::RunResult run = fortd::simulate(r.spmd);
+//   fortd::ExecResult run = fortd::simulate(r.spmd);
 //
 // The result bundles the bound program (after interprocedural cloning),
 // the interprocedural solution, and the generated SPMD program that the
@@ -130,10 +130,9 @@ public:
   /// stable machine-readable JSON (fortdc -cache-stats-json).
   std::string cache_stats_json() const;
 
-  /// The worker pool shared by IPA, code generation, and (through
-  /// compile_and_run) the machine simulator. Created lazily with
-  /// options().jobs - 1 workers — with jobs == 1 every batch runs inline
-  /// on the caller, so the pool costs nothing.
+  /// The worker pool shared by IPA, lint and code generation. Created
+  /// lazily with options().jobs - 1 workers — with jobs == 1 every batch
+  /// runs inline on the caller, so the pool costs nothing.
   ThreadPool* pool();
 
   /// Use `pool` (not owned, must outlive this Compiler) instead of a
@@ -141,8 +140,7 @@ public:
   /// pool into every session's Compiler so concurrent requests split the
   /// machine's workers fairly rather than oversubscribing it with a pool
   /// per session. Safe because ThreadPool::parallel_for interleaves
-  /// concurrent batches; callers must not grow a shared pool mid-flight
-  /// (see ThreadPool::ensure_workers).
+  /// concurrent batches.
   void set_shared_pool(ThreadPool* pool) { shared_pool_ = pool; }
 
   /// Stats of the most recent compile(). Like last_lint_report(), this
@@ -172,8 +170,8 @@ private:
 };
 
 /// Convenience: compile and simulate in one call.
-RunResult compile_and_run(std::string_view source,
-                          const CodegenOptions& options = {},
-                          CostModel cost_model = CostModel::ipsc860());
+ExecResult compile_and_run(std::string_view source,
+                           const CodegenOptions& options = {},
+                           const CostModel& cost_model = CostModel::ipsc860());
 
 }  // namespace fortd

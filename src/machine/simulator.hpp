@@ -1,94 +1,21 @@
-// The simulated MIMD distributed-memory machine: spawns one interpreter
-// thread per virtual processor, provides the barrier used by collective
-// remaps, and reports simulated time plus traffic statistics.
+// The simulated MIMD distributed-memory machine: the `sim` execution
+// backend (runtime/backend.hpp) priced by a chosen CostModel. Each
+// processor's logical clock advances by the model's compute and message
+// costs, a message arrives at its sender's clock plus the wire time, and a
+// remap barrier takes the latest clock; ExecResult::sim_time_us is the
+// latest clock at the end.
 #pragma once
-
-#include <condition_variable>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "codegen/spmd.hpp"
 #include "machine/cost_model.hpp"
-#include "machine/interpreter.hpp"
-#include "machine/network.hpp"
+#include "runtime/backend.hpp"
 
 namespace fortd {
 
-struct RunResult {
-  /// Simulated execution time: the maximum processor clock (µs).
-  double sim_time_us = 0.0;
-  int64_t messages = 0;
-  int64_t bytes = 0;
-  int64_t remaps_executed = 0;   // data-moving remaps
-  int64_t remap_bytes = 0;
-  std::vector<ProcStats> per_proc;
-
-  /// The authoritative final contents of a main-program array, assembled
-  /// from each element's owner. The distribution comes from the run-time
-  /// registry when available; pass it explicitly for compiled programs
-  /// whose (static) distribution the caller knows.
-  std::vector<double> gather(const std::string& array) const;
-  std::vector<double> gather(const std::string& array,
-                             const DecompSpec& spec) const;
-  double gather_scalar(const std::string& name) const;
-
-  // Internal: kept alive for gather().
-  std::shared_ptr<std::vector<std::unique_ptr<ProcessorContext>>> contexts;
-  int n_procs = 0;
-};
-
-class ThreadPool;
-
-class Machine {
-public:
-  /// `pool`, when non-null, runs the per-processor interpreter bodies on
-  /// the given worker pool instead of spawning fresh std::threads per
-  /// run(). Processor bodies block on each other (barriers, receives), so
-  /// run() grows the pool until workers + caller covers n_procs.
-  Machine(CostModel cost_model = CostModel::ipsc860(),
-          ThreadPool* pool = nullptr);
-
-  /// Run the SPMD program on options.n_procs virtual processors.
-  RunResult run(const SpmdProgram& program);
-
-  const CostModel& cost_model() const { return cost_; }
-  Network& network() { return *network_; }
-
-  // -- collective support used by the interpreter ------------------------
-  /// Barrier across all processors; every participant's clock is advanced
-  /// to the maximum passed in, and the maximum is returned.
-  double barrier_max_clock(double my_clock);
-  ProcessorContext* context(int p) { return (*contexts_)[static_cast<size_t>(p)].get(); }
-  int n_procs() const { return n_procs_; }
-  void count_remap(int64_t bytes);
-  int64_t remaps_executed() const { return remaps_; }
-  int64_t remap_bytes() const { return remap_bytes_; }
-
-private:
-  CostModel cost_;
-  ThreadPool* pool_ = nullptr;  // borrowed; may be null
-  std::unique_ptr<Network> network_;
-  std::shared_ptr<std::vector<std::unique_ptr<ProcessorContext>>> contexts_;
-  int n_procs_ = 0;
-
-  // Reusable barrier.
-  std::mutex bar_mu_;
-  std::condition_variable bar_cv_;
-  int bar_waiting_ = 0;
-  long bar_generation_ = 0;
-  double bar_max_ = 0.0;
-  double bar_release_value_ = 0.0;
-
-  std::mutex stat_mu_;
-  int64_t remaps_ = 0;
-  int64_t remap_bytes_ = 0;
-};
-
-/// One-call helper: simulate `program` and return the result.
-RunResult simulate(const SpmdProgram& program,
-                   CostModel cost_model = CostModel::ipsc860());
+/// Simulate `program` on options.n_procs processors.
+inline ExecResult simulate(const SpmdProgram& program,
+                           const CostModel& cost_model = CostModel::ipsc860()) {
+  return ExecutionBackend(BackendKind::Simulator, cost_model).execute(program);
+}
 
 }  // namespace fortd

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <stdexcept>
 
-#include "machine/simulator.hpp"
-#include "runtime/threaded_backend.hpp"
+#include "codegen/distribution.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace fortd {
 
@@ -54,47 +55,264 @@ std::vector<std::string> ExecResult::main_arrays() const {
 
 namespace {
 
-/// The logical-clock Machine simulator behind the ExecutionBackend
-/// interface. ExecResult normalization: `messages`/`bytes` count only the
-/// generated communication (sum of per-processor sends), never the
-/// aggregate remap traffic the Network also books — that keeps the two
-/// backends' headline numbers directly comparable.
-class SimulatorBackend : public ExecutionBackend {
+using runtime::Blocked;
+
+class Processor;
+
+/// What the P processors of one execution share: a FIFO channel per
+/// (source, destination) pair, the remap barrier, and the remap counters.
+struct Machine {
+  struct Message {
+    std::vector<double> payload;
+    double arrival_us;  // earliest logical time the receiver may consume it
+  };
+  struct Channel {
+    std::deque<Message> queue;
+    int64_t posted = 0;  // messages ever posted
+    int64_t taken = 0;   // messages ever taken
+  };
+
+  Machine(int n_procs, BackendKind kind, const CostModel& cost)
+      : n_procs(n_procs),
+        rendezvous(kind == BackendKind::Threaded),
+        cost(cost),
+        channels(static_cast<size_t>(n_procs) * static_cast<size_t>(n_procs)) {}
+
+  Channel& channel(int src, int dst) {
+    return channels[static_cast<size_t>(src) * static_cast<size_t>(n_procs) +
+                    static_cast<size_t>(dst)];
+  }
+
+  const int n_procs;
+  const bool rendezvous;  // a send waits until its receiver took it
+  const CostModel cost;
+  runtime::Scheduler scheduler;
+  std::vector<Channel> channels;
+  std::vector<std::unique_ptr<Processor>> procs;
+
+  // The remap barrier: every arrival raises max_clock; the last one
+  // publishes it as release_clock and opens the next generation.
+  int arrived = 0;
+  int64_t generation = 0;
+  double max_clock = 0.0;
+  double release_clock = 0.0;
+
+  // Counted once per collective remap, by processor 0.
+  int64_t remaps = 0;
+  int64_t remap_bytes = 0;
+};
+
+/// One SPMD processor. Its communication is written once for both kinds:
+/// the CostModel prices it (every price is zero for `threads`), and
+/// Machine::rendezvous decides whether a send waits for its receiver.
+class Processor : public EvalCore {
  public:
-  explicit SimulatorBackend(RuntimeOptions options)
-      : options_(std::move(options)) {}
+  Processor(Machine& machine, const SourceProgram& ast, int my_p)
+      : EvalCore(ast, my_p, machine.n_procs),
+        m_(machine),
+        cost_(machine.cost) {}
 
-  std::string name() const override { return "sim"; }
+ protected:
+  void charge_guard() override { stats_.clock_us += cost_.guard_us; }
+  void charge_loop_iteration() override {
+    stats_.clock_us += cost_.loop_overhead_us;
+  }
+  void charge_flop() override { stats_.clock_us += cost_.flop_us; }
+  void charge_call() override { stats_.clock_us += cost_.call_overhead_us; }
 
-  ExecResult execute(const SpmdProgram& program) override {
-    Machine machine(CostModel::ipsc860(), options_.pool);
-    const auto start = std::chrono::steady_clock::now();
-    RunResult run = machine.run(program);
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
+  void exec_send(const Stmt& s, Frame& frame) override {
+    const int dst = static_cast<int>(eval(*s.peer, frame).as_int());
+    ArrayStorage* arr = array_of(s.msg_array, frame);
+    Rsd section = eval_section(s.msg_section, frame);
+    if (section.empty()) return;  // edge processor with a short/empty block
 
-    ExecResult result;
-    result.backend = name();
-    result.n_procs = run.n_procs;
-    result.wall_ms = wall_ms;
-    result.sim_time_us = run.sim_time_us;
-    for (const ProcStats& st : run.per_proc) {
-      result.per_proc.push_back(st);
-      result.messages += st.sends;
-      result.bytes += st.sent_bytes;
+    std::vector<double> payload = pack_section(arr, section);
+    const int64_t bytes = bytes_of(payload);
+    const double arrival = stats_.clock_us + cost_.wire_time(bytes);
+    stats_.clock_us += cost_.send_overhead_us;
+    ++stats_.sends;
+    stats_.sent_bytes += bytes;
+    post(dst, std::move(payload), arrival, s);
+  }
+
+  void exec_recv(const Stmt& s, Frame& frame) override {
+    const int src = static_cast<int>(eval(*s.peer, frame).as_int());
+    ArrayStorage* arr = array_of(s.msg_array, frame);
+    Rsd section = eval_section(s.msg_section, frame);
+    if (section.empty()) return;  // matches the sender's empty-section skip
+    unpack_section(arr, section, take(src, s), "recv of " + s.msg_array);
+  }
+
+  void exec_broadcast(const Stmt& s, Frame& frame) override {
+    const int P = n_procs_;
+    const int root = static_cast<int>(eval(*s.peer, frame).as_int());
+    const bool scalar = s.msg_section.empty();
+    ArrayStorage* arr = scalar ? nullptr : array_of(s.msg_array, frame);
+    Rsd section = scalar ? Rsd{} : eval_section(s.msg_section, frame);
+
+    if (P == 1) return;
+    if (my_p_ != root) {
+      std::vector<double> payload = take(root, s);
+      if (scalar)
+        store_bcast_scalar(scalar_lvalue(s.msg_array, frame), payload.at(0));
+      else
+        unpack_section(arr, section, payload, "broadcast of " + s.msg_array);
+      return;
     }
-    result.remaps_executed = run.remaps_executed;
-    result.remap_bytes = run.remap_bytes;
-    for (const auto& ctx : *run.contexts) result.contexts.push_back(ctx.get());
-    result.keepalive = run.contexts;
-    return result;
+    std::vector<double> payload =
+        scalar ? std::vector<double>{scalar_lvalue(s.msg_array, frame)->as_real()}
+               : pack_section(arr, section);
+    const int64_t bytes = bytes_of(payload);
+    const int depth = cost_.bcast_depth(P);
+    const double arrival = stats_.clock_us + cost_.wire_time(bytes) * depth;
+    for (int p = 0; p < P; ++p)
+      if (p != my_p_) post(p, payload, arrival, s);
+    stats_.clock_us += cost_.send_overhead_us * depth;
+    stats_.sends += P - 1;
+    stats_.sent_bytes += (P - 1) * bytes;
+  }
+
+  void exec_allreduce(const Stmt& s, Frame& frame) override {
+    // Gather-to-root + broadcast.
+    const int P = n_procs_;
+    Value* cell = scalar_lvalue(s.msg_array, frame);
+    if (P == 1) return;
+    const int64_t bytes = cost_.elem_bytes;
+    if (my_p_ != 0) {
+      const double arrival = stats_.clock_us + cost_.wire_time(bytes);
+      stats_.clock_us += cost_.send_overhead_us;
+      ++stats_.sends;
+      stats_.sent_bytes += bytes;
+      post(0, {cell->as_real()}, arrival, s);
+      *cell = Value::of_real(take(0, s).at(0));
+      return;
+    }
+    double acc = cell->as_real();
+    for (int p = 1; p < P; ++p) {
+      const double v = take(p, s).at(0);
+      if (s.reduce_op == "min")
+        acc = std::min(acc, v);
+      else if (s.reduce_op == "max")
+        acc = std::max(acc, v);
+      else
+        acc += v;
+    }
+    *cell = Value::of_real(acc);
+    const int depth = cost_.bcast_depth(P);
+    const double arrival = stats_.clock_us + cost_.wire_time(bytes) * depth;
+    for (int p = 1; p < P; ++p) post(p, {acc}, arrival, s);
+    stats_.clock_us += cost_.send_overhead_us * depth;
+    stats_.sends += P - 1;
+    stats_.sent_bytes += (P - 1) * bytes;
+  }
+
+  void apply_redistribution(const Stmt& s, ArrayStorage* arr,
+                            const DecompSpec* from_spec,
+                            const DecompSpec& to_spec) override {
+    const int P = n_procs_;
+    note_distribution(arr, to_spec);
+    if (!from_spec) return;  // initial labeling: no data motion
+
+    // Remapping is collective: no processor reads a peer's copy before
+    // every peer has finished writing it.
+    stats_.clock_us = barrier(s, arr->name);
+
+    ArrayDistribution from(arr->name, *from_spec, arr->bounds, P);
+    ArrayDistribution to(arr->name, to_spec, arr->bounds, P);
+    const int64_t moved_bytes = from.remap_bytes(to, cost_.elem_bytes);
+    if (moved_bytes > 0) {
+      // Pull every element this processor now owns from its previous
+      // owner's copy (their copy is authoritative).
+      Rsd full = Rsd::dense(arr->bounds);
+      for (const auto& point : full.enumerate()) {
+        const int old_owner = from.owner_of(point);
+        if (to.owner_of(point) != my_p_ || old_owner == my_p_) continue;
+        const ArrayStorage* peer_arr =
+            m_.procs[static_cast<size_t>(old_owner)]->array_by_uid(arr->uid);
+        if (peer_arr) arr->set(point, peer_arr->get(point));
+      }
+      // Charge: each processor exchanges roughly 1/P of the moved data.
+      const double share = static_cast<double>(moved_bytes) / P;
+      stats_.clock_us +=
+          2.0 * (cost_.alpha_us + cost_.beta_us_per_byte * share) +
+          cost_.send_overhead_us + cost_.recv_overhead_us;
+      if (my_p_ == 0) {
+        ++m_.remaps;
+        m_.remap_bytes += moved_bytes;
+      }
+    }
+    // Second barrier: no processor writes its copy while peers still read.
+    stats_.clock_us = barrier(s, arr->name);
   }
 
  private:
-  RuntimeOptions options_;
+  int64_t bytes_of(const std::vector<double>& payload) const {
+    return static_cast<int64_t>(payload.size()) * cost_.elem_bytes;
+  }
+
+  /// Post `payload` to `dst`, consumable from `arrival_us` on. Under
+  /// rendezvous, returns once `dst` has taken it.
+  void post(int dst, std::vector<double> payload, double arrival_us,
+            const Stmt& s) {
+    Machine::Channel& ch = m_.channel(my_p_, dst);
+    ch.queue.push_back({std::move(payload), arrival_us});
+    const int64_t ticket = ch.posted++;
+    m_.scheduler.progress();
+    if (m_.rendezvous)
+      m_.scheduler.wait_until([&] { return ch.taken > ticket; },
+                              Blocked{"send to", dst, s.msg_array, s.loc});
+  }
+
+  /// Take the next message from `src` and charge its receipt.
+  std::vector<double> take(int src, const Stmt& s) {
+    Machine::Channel& ch = m_.channel(src, my_p_);
+    m_.scheduler.wait_until([&] { return !ch.queue.empty(); },
+                            Blocked{"recv from", src, s.msg_array, s.loc});
+    Machine::Message msg = std::move(ch.queue.front());
+    ch.queue.pop_front();
+    ++ch.taken;
+    m_.scheduler.progress();
+    stats_.clock_us =
+        std::max(stats_.clock_us + cost_.recv_overhead_us, msg.arrival_us);
+    ++stats_.recvs;
+    stats_.recvd_bytes += bytes_of(msg.payload);
+    return std::move(msg.payload);
+  }
+
+  /// Wait until every processor reached this remap; returns the latest
+  /// clock among them.
+  double barrier(const Stmt& s, const std::string& array) {
+    m_.max_clock = std::max(m_.max_clock, stats_.clock_us);
+    m_.scheduler.progress();
+    if (++m_.arrived == n_procs_) {
+      m_.release_clock = m_.max_clock;
+      m_.max_clock = 0.0;
+      m_.arrived = 0;
+      ++m_.generation;
+      return m_.release_clock;
+    }
+    // release_clock stays valid until this processor reads it: the next
+    // barrier cannot complete before it arrives there.
+    const int64_t generation = m_.generation;
+    m_.scheduler.wait_until([&] { return m_.generation != generation; },
+                            Blocked{"barrier", -1, array, s.loc});
+    return m_.release_clock;
+  }
+
+  Machine& m_;
+  const CostModel& cost_;
 };
+
+/// The prices of the `threads` kind: all zero, so its clocks stay at 0.
+CostModel free_of_charge(const CostModel& cm) {
+  CostModel zero;
+  zero.alpha_us = zero.beta_us_per_byte = 0.0;
+  zero.send_overhead_us = zero.recv_overhead_us = 0.0;
+  zero.flop_us = zero.loop_overhead_us = zero.guard_us = 0.0;
+  zero.call_overhead_us = 0.0;
+  zero.elem_bytes = cm.elem_bytes;
+  return zero;
+}
 
 /// Single-process evaluator for the *original* program: no communication
 /// statements exist pre-codegen, so every comm hook is a hard error, and
@@ -117,7 +335,7 @@ class SerialProcess : public EvalCore {
   void exec_allreduce(const Stmt&, Frame&) override {
     comm_in_serial("reduction");
   }
-  void apply_redistribution(ArrayStorage* arr, const DecompSpec*,
+  void apply_redistribution(const Stmt&, ArrayStorage* arr, const DecompSpec*,
                             const DecompSpec& to) override {
     note_distribution(arr, to);
   }
@@ -125,15 +343,46 @@ class SerialProcess : public EvalCore {
 
 }  // namespace
 
-std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
-                                               const RuntimeOptions& options) {
-  switch (kind) {
-    case BackendKind::Simulator:
-      return std::make_unique<SimulatorBackend>(options);
-    case BackendKind::Threaded:
-      return std::make_unique<ThreadedBackend>(options);
+ExecutionBackend::ExecutionBackend(BackendKind kind,
+                                   const CostModel& cost_model)
+    : kind_(kind),
+      cost_(kind == BackendKind::Simulator ? cost_model
+                                           : free_of_charge(cost_model)) {}
+
+ExecResult ExecutionBackend::execute(const SpmdProgram& program) const {
+  const int P = program.options.n_procs;
+  auto machine = std::make_shared<Machine>(P, kind_, cost_);
+  for (int p = 0; p < P; ++p)
+    machine->procs.push_back(
+        std::make_unique<Processor>(*machine, program.ast, p));
+
+  const auto start = std::chrono::steady_clock::now();
+  machine->scheduler.run(
+      P, [&](int p) { machine->procs[static_cast<size_t>(p)]->run(); });
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+
+  ExecResult result;
+  result.backend = name();
+  result.n_procs = P;
+  result.wall_ms = wall_ms;
+  for (const auto& proc : machine->procs) {
+    const ProcStats& st = proc->stats();
+    result.per_proc.push_back(st);
+    result.messages += st.sends;
+    result.bytes += st.sent_bytes;
+    result.sim_time_us = std::max(result.sim_time_us, st.clock_us);
+    result.contexts.push_back(proc.get());
   }
-  throw std::logic_error("make_backend: unknown backend kind");
+  result.remaps_executed = machine->remaps;
+  result.remap_bytes = machine->remap_bytes;
+  result.keepalive = machine;
+  return result;
+}
+
+std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind) {
+  return std::make_unique<ExecutionBackend>(kind);
 }
 
 ExecResult run_serial_reference(const SourceProgram& ast) {

@@ -1,24 +1,30 @@
-// Pluggable SPMD execution backends.
+// SPMD execution backends.
 //
 // An ExecutionBackend runs a compiled SpmdProgram end to end and reports
 // what actually happened: final array contents (gatherable per element
 // owner), per-processor message counts and payload bytes, and remap
-// traffic. Two implementations ship:
+// traffic. Both kinds run the P processors as fibers on the calling thread
+// under one deterministic scheduler (runtime/scheduler.hpp) and share one
+// processor class, so the values they compute are bit-identical; only the
+// transport and the clocks differ:
 //
-//   * `sim`     — the logical-clock Machine simulator (src/machine),
-//                 unchanged semantics, now behind this interface. Its
-//                 per-processor clocks realize the CostModel and its
-//                 message counts are the paper's Fig. 11/16/17
-//                 quantities — the *predictions* the harness checks the
-//                 real runtime against.
-//   * `threads` — the concurrent runtime (src/runtime/threaded_backend):
-//                 one OS thread per SPMD process, rendezvous channels
-//                 with real blocking send/recv, broadcasts, reductions,
-//                 and message-based redistribution. No cost model — it
-//                 measures wall-clock time.
+//   * `sim`     — sends are buffered, and each processor's logical clock
+//                 charges the CostModel (src/machine). Its message counts
+//                 and clocks are the paper's Fig. 11/16/17 quantities —
+//                 the *predictions* the harness checks the `threads` run
+//                 against.
+//   * `threads` — a send returns only after its receiver has taken the
+//                 message (rendezvous), so ordering deadlocks that
+//                 buffering hides surface here. It charges nothing. The
+//                 kind keeps its name from when it ran one OS thread per
+//                 processor; no thread runs now.
 //
-// Both backends share the EvalCore evaluator, so the values they compute
-// are bit-identical; only transport and timing differ.
+// Both realize collectives alike (gather-to-root + broadcast for
+// reductions, root fan-out for broadcasts), so their counts agree message
+// for message, and both remap by pulling newly owned elements from the
+// previous owner's copy between two barriers. A deadlock is reported at
+// once, naming every blocked processor and its statement; a failing
+// processor's own error is rethrown.
 #pragma once
 
 #include <memory>
@@ -27,28 +33,16 @@
 #include <vector>
 
 #include "codegen/spmd.hpp"
-#include "runtime/channel.hpp"
+#include "machine/cost_model.hpp"
 #include "runtime/eval.hpp"
 
 namespace fortd {
-
-class ThreadPool;
 
 enum class BackendKind { Simulator, Threaded };
 
 /// Parse "sim" / "threads" (also accepts "simulator" / "threaded").
 std::optional<BackendKind> parse_backend_kind(const std::string& name);
 const char* backend_kind_name(BackendKind kind);
-
-struct RuntimeOptions {
-  /// Payload accounting: bytes per REAL element (matches the simulator's
-  /// CostModel.elem_bytes so observed bytes compare against predictions).
-  int elem_bytes = 8;
-  /// Channel deadline / fault injection (threaded backend only).
-  runtime::ChannelOptions channel;
-  /// Worker pool to run processor bodies on; null spawns plain threads.
-  ThreadPool* pool = nullptr;
-};
 
 /// What one backend execution observed.
 struct ExecResult {
@@ -58,8 +52,8 @@ struct ExecResult {
   double sim_time_us = 0.0;  // simulator backend only: max logical clock
 
   // Point-to-point + collective traffic from the generated communication
-  // statements (excludes redistribution exchanges, reported separately —
-  // the simulator models those in aggregate, not as messages).
+  // statements (excludes redistribution, reported separately — it moves
+  // data between copies, not as messages).
   int64_t messages = 0;  // == sum of per_proc sends == sum of recvs
   int64_t bytes = 0;     // payload bytes of those messages
   int64_t remaps_executed = 0;  // data-moving redistributions
@@ -84,16 +78,21 @@ struct ExecResult {
 
 class ExecutionBackend {
  public:
-  virtual ~ExecutionBackend() = default;
-  virtual std::string name() const = 0;
-  /// Run `program` on program.options.n_procs processes to completion.
-  /// Throws on execution errors (including detected deadlocks).
-  virtual ExecResult execute(const SpmdProgram& program) = 0;
+  /// `cost_model` prices the `sim` kind; `threads` charges nothing.
+  explicit ExecutionBackend(BackendKind kind,
+                            const CostModel& cost_model = CostModel::ipsc860());
+
+  std::string name() const { return backend_kind_name(kind_); }
+  /// Run `program` on program.options.n_procs processors to completion.
+  /// Throws on execution errors, detected deadlocks included.
+  ExecResult execute(const SpmdProgram& program) const;
+
+ private:
+  BackendKind kind_;
+  CostModel cost_;
 };
 
-std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind,
-                                               const RuntimeOptions& options =
-                                                   RuntimeOptions{});
+std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind);
 
 /// Execute the *original* (pre-SPMD) program on a single process with no
 /// communication — the serial reference the differential harness diffs

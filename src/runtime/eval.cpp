@@ -175,13 +175,9 @@ void EvalCore::run() {
 // Statement execution
 // ---------------------------------------------------------------------------
 
-namespace {
-thread_local bool g_returning = false;
-}
-
 void EvalCore::exec_stmts(const std::vector<StmtPtr>& stmts, Frame& frame) {
   for (const auto& s : stmts) {
-    if (g_returning) return;
+    if (returning_) return;
     exec_stmt(*s, frame);
   }
 }
@@ -219,7 +215,7 @@ void EvalCore::exec_stmt(const Stmt& s, Frame& frame) {
         charge_loop_iteration();
         ++stats_.iterations;
         exec_stmts(s.body, frame);
-        if (g_returning) break;
+        if (returning_) break;
       }
       break;
     }
@@ -227,7 +223,7 @@ void EvalCore::exec_stmt(const Stmt& s, Frame& frame) {
       exec_call(s, frame);
       break;
     case StmtKind::Return:
-      g_returning = true;
+      returning_ = true;
       break;
     case StmtKind::Continue:
       break;
@@ -241,10 +237,10 @@ void EvalCore::exec_stmt(const Stmt& s, Frame& frame) {
       to.dists = s.dist_specs;
       auto it = registry_.find(arr);
       if (it == registry_.end()) {
-        apply_redistribution(arr, nullptr, to);
+        apply_redistribution(s, arr, nullptr, to);
       } else if (!(it->second == to)) {
         DecompSpec from = it->second;
-        apply_redistribution(arr, &from, to);
+        apply_redistribution(s, arr, &from, to);
       }
       break;
     }
@@ -262,12 +258,12 @@ void EvalCore::exec_stmt(const Stmt& s, Frame& frame) {
       DecompSpec to_spec;
       to_spec.dists = s.dist_specs;
       if (s.from_specs.empty()) {
-        apply_redistribution(arr, nullptr, to_spec);
+        apply_redistribution(s, arr, nullptr, to_spec);
         break;
       }
       DecompSpec from_spec;
       from_spec.dists = s.from_specs;
-      apply_redistribution(arr, &from_spec, to_spec);
+      apply_redistribution(s, arr, &from_spec, to_spec);
       break;
     }
     case StmtKind::MarkDist: {
@@ -292,15 +288,15 @@ void EvalCore::exec_call(const Stmt& s, Frame& frame) {
   // return — including the data motion of the restoring remap.
   auto saved_registry = registry_;
   Frame inner = make_frame(*callee, &frame, &s.call_args);
-  bool saved_return = g_returning;
-  g_returning = false;
+  bool saved_return = returning_;
+  returning_ = false;
   exec_stmts(callee->body, inner);
-  g_returning = saved_return;
+  returning_ = saved_return;
   for (const auto& [arr, spec] : saved_registry) {
     auto it = registry_.find(arr);
     if (it != registry_.end() && !(it->second == spec)) {
       DecompSpec from = it->second;
-      apply_redistribution(const_cast<ArrayStorage*>(arr), &from, spec);
+      apply_redistribution(s, const_cast<ArrayStorage*>(arr), &from, spec);
     }
   }
   registry_ = std::move(saved_registry);

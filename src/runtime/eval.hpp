@@ -1,11 +1,10 @@
-// Shared SPMD evaluation core: one EvalCore per (virtual or OS-thread)
-// processor executes the generated program's statements and expressions.
-// Everything a backend can disagree about — how messages move, what a
-// collective costs, how a redistribution exchanges data — is a virtual
-// hook; everything else (frames, scoping, arithmetic, intrinsics, the
-// run-time distribution registry) lives here so the logical-clock
-// simulator, the threaded runtime, and the serial reference interpreter
-// compute bit-identical values.
+// Shared SPMD evaluation core: one EvalCore per processor executes the
+// generated program's statements and expressions. Everything a backend can
+// disagree about — how messages move, what a collective costs, how a
+// redistribution exchanges data — is a virtual hook; everything else
+// (frames, scoping, arithmetic, intrinsics, the run-time distribution
+// registry) lives here so both SPMD backends and the serial reference
+// interpreter compute bit-identical values.
 //
 // Storage model (inherited from the original Machine interpreter): every
 // processor holds full-size (global index space) copies of all arrays;
@@ -108,17 +107,18 @@ class EvalCore {
   virtual void exec_recv(const Stmt& s, Frame& frame) = 0;
   virtual void exec_broadcast(const Stmt& s, Frame& frame) = 0;
   virtual void exec_allreduce(const Stmt& s, Frame& frame) = 0;
-  /// Collective redistribution: move every element whose owner changes
-  /// from its previous owner's copy to its new owner's, and account for
-  /// the traffic. `from` null = initial labeling (no data motion). The
-  /// implementation must record `to` in registry_ (via note_distribution)
-  /// before returning.
-  virtual void apply_redistribution(ArrayStorage* arr, const DecompSpec* from,
+  /// Collective redistribution at statement `s`: move every element whose
+  /// owner changes from its previous owner's copy to its new owner's, and
+  /// account for the traffic. `from` null = initial labeling (no data
+  /// motion). The implementation must record `to` in registry_ (via
+  /// note_distribution) before returning.
+  virtual void apply_redistribution(const Stmt& s, ArrayStorage* arr,
+                                    const DecompSpec* from,
                                     const DecompSpec& to) = 0;
 
   // -- backend hooks: cost accounting -------------------------------------
   // Fired at exactly the sequence points the logical-clock simulator
-  // charges; default no-ops keep real-time backends free of model costs.
+  // charges; the serial reference keeps the default no-ops.
   virtual void charge_guard() {}
   virtual void charge_loop_iteration() {}
   virtual void charge_flop() {}
@@ -162,6 +162,7 @@ class EvalCore {
   Frame main_frame_;
   std::map<const ArrayStorage*, DecompSpec> registry_;
   int next_uid_ = 0;
+  bool returning_ = false;  // a RETURN is unwinding the current procedure
 };
 
 /// Assemble the authoritative final contents of a main-program array from

@@ -10,6 +10,8 @@ namespace fortd {
 
 namespace {
 
+constexpr double kTolerance = 1e-9;  // absolute, for the serial diff
+
 std::string fmt(const char* format, ...) {
   char buf[512];
   va_list args;
@@ -43,7 +45,7 @@ HarnessReport run_and_check(const SourceProgram& original,
                             const HarnessOptions& options) {
   HarnessReport report;
   report.serial = run_serial_reference(original);
-  report.run = make_backend(options.backend, options.runtime)->execute(spmd);
+  report.run = make_backend(options.backend)->execute(spmd);
 
   // -- numerics: every main-program array of the original, elementwise ----
   const auto ref_arrays = report.serial.main_arrays();
@@ -71,7 +73,7 @@ HarnessReport run_and_check(const SourceProgram& original,
     for (size_t i = 0; i < want.size(); ++i) {
       const double err = std::abs(want[i] - got[i]);
       report.max_abs_err = std::max(report.max_abs_err, err);
-      if (!(err <= options.tolerance)) {  // catches NaN too
+      if (!(err <= kTolerance)) {  // catches NaN too
         report.numerics_ok = false;
         report.failures.push_back(
             fmt("array '%s'[flat %zu]: serial %.17g, %s %.17g (|err| %.3g)",
@@ -83,9 +85,8 @@ HarnessReport run_and_check(const SourceProgram& original,
   }
 
   // -- counts: observed traffic vs the simulator's static prediction ------
-  if (options.check_counts && options.backend != BackendKind::Simulator) {
-    report.predicted =
-        make_backend(BackendKind::Simulator, options.runtime)->execute(spmd);
+  if (options.backend != BackendKind::Simulator) {
+    report.predicted = make_backend(BackendKind::Simulator)->execute(spmd);
     const ExecResult& obs = report.run;
     const ExecResult& pred = report.predicted;
     auto mismatch = [&](const char* what, long long o, long long p) {

@@ -1,9 +1,9 @@
 // The differential execution harness (the NASA debugging-support shape):
-// run the compiled SPMD program on a real backend, diff its numeric
+// run the compiled SPMD program on the requested backend, diff its numeric
 // results against a serial execution of the *original* program, and
 // cross-check the observed per-processor message counts and payload
-// bytes against the Machine simulator's static predictions — the paper's
-// Fig. 11/16/17 quantities, now measured instead of modeled.
+// bytes against the simulator's predictions — the paper's Fig. 11/16/17
+// quantities.
 #pragma once
 
 #include <string>
@@ -15,15 +15,6 @@ namespace fortd {
 
 struct HarnessOptions {
   BackendKind backend = BackendKind::Threaded;
-  RuntimeOptions runtime;
-  /// Absolute tolerance for the serial diff. Parallel reductions combine
-  /// in a fixed rank order, so everything except reduction round-off is
-  /// expected bit-identical.
-  double tolerance = 1e-9;
-  /// Cross-check observed counts against the simulator's predictions
-  /// (skipped when the backend *is* the simulator — it would compare the
-  /// run against itself).
-  bool check_counts = true;
 };
 
 struct HarnessReport {
@@ -44,8 +35,11 @@ struct HarnessReport {
 };
 
 /// Execute `spmd` on the requested backend and validate it against the
-/// serial execution of `original` (the pre-codegen program) and, for the
-/// threaded backend, against the simulator's predicted traffic. Both
+/// serial execution of `original` (the pre-codegen program), to an
+/// absolute 1e-9 (parallel reductions combine in a fixed rank order, so
+/// everything but reduction round-off is bit-identical), and, for the
+/// `threads` backend, its traffic exactly against the simulator's
+/// prediction (for `sim` that would compare the run against itself). Both
 /// programs must outlive the report (their ASTs back the ExecResults).
 HarnessReport run_and_check(const SourceProgram& original,
                             const SpmdProgram& spmd,

@@ -1,7 +1,6 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace fortd {
 
@@ -9,18 +8,6 @@ ThreadPool::ThreadPool(int threads) {
   if (threads < 0) threads = 0;
   workers_.reserve(static_cast<size_t>(threads));
   for (int i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-void ThreadPool::ensure_workers(int threads) {
-  {
-    // Growing workers_ races the lockless reads in parallel_for/size();
-    // catching a mid-batch call here turns a heisenbug into an abort.
-    std::lock_guard<std::mutex> lock(mu_);
-    assert(active_batches_ == 0 &&
-           "ensure_workers must not race parallel_for");
-  }
-  while (static_cast<int>(workers_.size()) < threads)
     workers_.emplace_back([this] { worker_loop(); });
 }
 
@@ -93,7 +80,6 @@ void ThreadPool::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   batch.errors.assign(n, nullptr);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++active_batches_;
     queue_.push_back(&batch);
   }
   work_cv_.notify_all();
@@ -102,7 +88,6 @@ void ThreadPool::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return batch.completed == batch.total; });
-    --active_batches_;
     errors = std::move(batch.errors);
   }
   for (auto& e : errors)

@@ -37,20 +37,6 @@ public:
 
   int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Grow the pool to at least `threads` workers (never shrinks). The
-  /// machine simulator needs this: processor bodies block on each other
-  /// (barriers, receives), so they deadlock unless the batch concurrency
-  /// (workers + caller) covers every processor.
-  ///
-  /// Invariant: must not run while any batch is in flight — workers_ is
-  /// read locklessly by parallel_for/size(), and a mid-batch append
-  /// would race them. Debug builds assert this; callers must sequence
-  /// ensure_workers strictly between batches (the simulator grows the
-  /// pool before machine start-up, never from a processor body).
-  /// Blocking batches (simulator, threaded runtime) additionally require
-  /// a single-owner pool: only non-blocking batches may overlap.
-  void ensure_workers(int threads);
-
   /// Run fn(i) for every i in [0, n). The caller participates in the
   /// batch — and claims every index itself if the workers are busy with
   /// other batches — so completion never depends on pool availability.
@@ -89,7 +75,6 @@ private:
   // batch is popped when its last index is claimed; completion is
   // tracked in the Batch itself.
   std::deque<Batch*> queue_;
-  size_t active_batches_ = 0;  // parallel_for spans in flight
 };
 
 }  // namespace fortd

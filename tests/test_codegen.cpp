@@ -418,8 +418,8 @@ TEST(Golden, ImmediateVsDelayedMessageCounts) {
     CompileResult r = compiler.compile_source(kFigure4);
     return simulate(r.spmd);
   };
-  RunResult inter = run_with(Strategy::Interprocedural);
-  RunResult intra = run_with(Strategy::Intraprocedural);
+  ExecResult inter = run_with(Strategy::Interprocedural);
+  ExecResult intra = run_with(Strategy::Intraprocedural);
   EXPECT_EQ(inter.messages, 3);       // one 5x100 section per neighbor pair
   EXPECT_EQ(intra.messages, 300);     // 100 invocations x 3 pairs
   EXPECT_EQ(inter.bytes, intra.bytes);  // same data volume
@@ -487,12 +487,12 @@ TEST(DynDecomp, Figure16Pipeline) {
   // 16c: both hoisted out of the loop (still 2 static, but executed once).
   CompileResult c = compile_with(DynDecompOpt::LiveInvariant);
   EXPECT_GE(c.spmd.stats.remaps_hoisted, 2);
-  RunResult rc = simulate(c.spmd);
+  ExecResult rc = simulate(c.spmd);
   EXPECT_EQ(rc.remaps_executed, 2);
   // 16d: the restore remap becomes a no-copy relabel.
   CompileResult d = compile_with(DynDecompOpt::Full);
   EXPECT_EQ(d.spmd.stats.remaps_marked_in_place, 1);
-  RunResult rd = simulate(d.spmd);
+  ExecResult rd = simulate(d.spmd);
   EXPECT_EQ(rd.remaps_executed, 1);
 }
 
@@ -501,7 +501,7 @@ TEST(DynDecomp, RemapCountScalesWithIterationsWhenUnoptimized) {
   opt.n_procs = 4;
   opt.dyn_decomp = DynDecompOpt::None;
   Compiler compiler(opt);
-  RunResult run = simulate(compiler.compile_source(kFigure15).spmd);
+  ExecResult run = simulate(compiler.compile_source(kFigure15).spmd);
   EXPECT_EQ(run.remaps_executed, 40);  // 4 per iteration x 10
 }
 
@@ -559,7 +559,7 @@ TEST(RuntimeFallback, ThresholdedProgramStillRunsCorrectly) {
   Compiler compiler(opt, ipa);
   CompileResult r = compiler.compile_source(kFigure4);
   EXPECT_FALSE(r.ipa.runtime_fallback.empty());
-  RunResult run = simulate(r.spmd);
+  ExecResult run = simulate(r.spmd);
   EXPECT_GT(run.messages, 3);  // element traffic instead of vectorized
 }
 

@@ -224,14 +224,14 @@ TEST_P(StrategyEquivalence, MatchesSingleProcessorOracle) {
   CodegenOptions oracle_opt;
   oracle_opt.n_procs = 1;
   Compiler oracle(oracle_opt);
-  RunResult expect = simulate(oracle.compile_source(c.program.source).spmd);
+  ExecResult expect = simulate(oracle.compile_source(c.program.source).spmd);
   auto want = expect.gather(c.program.result_array, c.program.final_spec);
 
   CodegenOptions opt;
   opt.n_procs = c.procs;
   opt.strategy = c.strategy;
   Compiler compiler(opt);
-  RunResult run = simulate(compiler.compile_source(c.program.source).spmd);
+  ExecResult run = simulate(compiler.compile_source(c.program.source).spmd);
   auto got = run.gather(c.program.result_array, c.program.final_spec);
 
   ASSERT_EQ(got.size(), want.size());
@@ -267,8 +267,8 @@ TEST(StrategyOrdering, RuntimeResolutionIsSlowest) {
     Compiler compiler(opt);
     return simulate(compiler.compile_source(src).spmd);
   };
-  RunResult inter = time_of(Strategy::Interprocedural);
-  RunResult runtime = time_of(Strategy::RuntimeResolution);
+  ExecResult inter = time_of(Strategy::Interprocedural);
+  ExecResult runtime = time_of(Strategy::RuntimeResolution);
   EXPECT_LT(inter.sim_time_us, runtime.sim_time_us);
   // Run-time resolution sends an element message per nonlocal access; the
   // compiled code sends one vectorized message per boundary (the ratio is
@@ -302,8 +302,8 @@ TEST(StrategyOrdering, InterproceduralBeatsIntraproceduralOnCalls) {
     Compiler compiler(opt);
     return simulate(compiler.compile_source(src).spmd);
   };
-  RunResult inter = run_of(Strategy::Interprocedural);
-  RunResult intra = run_of(Strategy::Intraprocedural);
+  ExecResult inter = run_of(Strategy::Interprocedural);
+  ExecResult intra = run_of(Strategy::Intraprocedural);
   EXPECT_EQ(inter.messages, 3);
   EXPECT_EQ(intra.messages, 300);
   EXPECT_LT(inter.sim_time_us, intra.sim_time_us);

@@ -1,9 +1,6 @@
-// Machine simulator tests: cost model, network channels, the SPMD
-// interpreter (values, control flow, calls by reference, intrinsics), and
-// whole-machine runs including deadlock detection.
+// Machine simulator tests: cost model, the SPMD interpreter (values,
+// control flow, calls by reference, intrinsics), and whole-machine runs.
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "driver/compiler.hpp"
 
@@ -21,57 +18,18 @@ TEST(CostModel, WireTimeAndBroadcastDepth) {
   EXPECT_EQ(cm.bcast_depth(16), 4);
 }
 
-TEST(Network, FifoPerChannelAndStats) {
-  Network net(2, /*timeout=*/5.0);
-  SimMessage a;
-  a.src = 0;
-  a.tag = "x";
-  a.payload = {1.0, 2.0};
-  a.bytes = 16;
-  SimMessage b = a;
-  b.payload = {3.0};
-  b.bytes = 8;
-  net.send(0, 1, std::move(a));
-  net.send(0, 1, std::move(b));
-  SimMessage first = net.recv(1, 0);
-  SimMessage second = net.recv(1, 0);
-  EXPECT_EQ(first.payload.size(), 2u);
-  EXPECT_EQ(second.payload.size(), 1u);
-  EXPECT_EQ(net.total_messages(), 2);
-  EXPECT_EQ(net.total_bytes(), 24);
-}
-
-TEST(Network, RecvTimesOutAsDeadlock) {
-  Network net(2, /*timeout=*/0.05);
-  EXPECT_THROW(net.recv(0, 1), SimDeadlock);
-}
-
-TEST(Network, CrossThreadDelivery) {
-  Network net(2, 5.0);
-  std::thread t([&] {
-    SimMessage m;
-    m.src = 1;
-    m.payload = {42.0};
-    m.bytes = 8;
-    net.send(1, 0, std::move(m));
-  });
-  SimMessage got = net.recv(0, 1);
-  t.join();
-  EXPECT_DOUBLE_EQ(got.payload[0], 42.0);
-}
-
 // ---------------------------------------------------------------------------
 // Interpreter semantics through single-processor runs
 // ---------------------------------------------------------------------------
 
-RunResult run_program(const char* src, int procs = 1) {
+ExecResult run_program(const char* src, int procs = 1) {
   CodegenOptions opt;
   opt.n_procs = procs;
   return compile_and_run(src, opt);
 }
 
 TEST(Interpreter, IntegerArithmeticTruncates) {
-  RunResult r = run_program(R"(
+  ExecResult r = run_program(R"(
       program p
       integer a, b
       a = 7 / 2
@@ -83,7 +41,7 @@ TEST(Interpreter, IntegerArithmeticTruncates) {
 }
 
 TEST(Interpreter, LoopWithStepAndZeroTrip) {
-  RunResult r = run_program(R"(
+  ExecResult r = run_program(R"(
       program p
       integer i, count
       count = 0
@@ -99,7 +57,7 @@ TEST(Interpreter, LoopWithStepAndZeroTrip) {
 }
 
 TEST(Interpreter, IfElseAndLogicalOperators) {
-  RunResult r = run_program(R"(
+  ExecResult r = run_program(R"(
       program p
       integer a, b
       a = 5
@@ -114,7 +72,7 @@ TEST(Interpreter, IfElseAndLogicalOperators) {
 }
 
 TEST(Interpreter, CallByReferenceScalarsAndArrays) {
-  RunResult r = run_program(R"(
+  ExecResult r = run_program(R"(
       program p
       real x(10)
       integer n
@@ -137,7 +95,7 @@ TEST(Interpreter, CallByReferenceScalarsAndArrays) {
 }
 
 TEST(Interpreter, ExpressionActualIsCopyIn) {
-  RunResult r = run_program(R"(
+  ExecResult r = run_program(R"(
       program p
       integer n
       n = 1
@@ -152,7 +110,7 @@ TEST(Interpreter, ExpressionActualIsCopyIn) {
 }
 
 TEST(Interpreter, CommonBlocksShareStorage) {
-  RunResult r = run_program(R"(
+  ExecResult r = run_program(R"(
       program p
       real buf(5)
       integer tag
@@ -173,7 +131,7 @@ TEST(Interpreter, CommonBlocksShareStorage) {
 }
 
 TEST(Interpreter, IntrinsicFunctions) {
-  RunResult r = run_program(R"(
+  ExecResult r = run_program(R"(
       program p
       integer a, b, c
       real s
@@ -190,7 +148,7 @@ TEST(Interpreter, IntrinsicFunctions) {
 }
 
 TEST(Interpreter, ReturnStatement) {
-  RunResult r = run_program(R"(
+  ExecResult r = run_program(R"(
       program p
       integer a
       a = 1
@@ -208,7 +166,7 @@ TEST(Interpreter, ReturnStatement) {
 
 TEST(Interpreter, ParameterizedArrayBounds) {
   // Fig. 14 style: array bounds from formal parameters.
-  RunResult r = run_program(R"(
+  ExecResult r = run_program(R"(
       program p
       real x(30)
       integer i
@@ -232,7 +190,7 @@ TEST(Interpreter, ParameterizedArrayBounds) {
 // ---------------------------------------------------------------------------
 
 TEST(Machine, ClockAdvancesWithComputation) {
-  RunResult small = run_program(R"(
+  ExecResult small = run_program(R"(
       program p
       real x(10)
       integer i
@@ -241,7 +199,7 @@ TEST(Machine, ClockAdvancesWithComputation) {
       enddo
       end
 )");
-  RunResult big = run_program(R"(
+  ExecResult big = run_program(R"(
       program p
       real x(1000)
       integer i
@@ -267,7 +225,7 @@ TEST(Machine, MessageTimingDominatedByLatency) {
 )";
   CodegenOptions opt;
   opt.n_procs = 2;
-  RunResult r = compile_and_run(src, opt);
+  ExecResult r = compile_and_run(src, opt);
   EXPECT_EQ(r.messages, 1);
   EXPECT_GE(r.sim_time_us, CostModel::ipsc860().alpha_us);
 }
@@ -275,7 +233,7 @@ TEST(Machine, MessageTimingDominatedByLatency) {
 TEST(Machine, PerProcStatsPopulated) {
   CodegenOptions opt;
   opt.n_procs = 4;
-  RunResult r = compile_and_run(R"(
+  ExecResult r = compile_and_run(R"(
       program p
       real x(100)
       integer i
@@ -307,8 +265,8 @@ TEST(Machine, LowLatencyModelIsFaster) {
   opt.n_procs = 4;
   Compiler compiler(opt);
   CompileResult r = compiler.compile_source(src);
-  RunResult slow = simulate(r.spmd, CostModel::ipsc860());
-  RunResult fast = simulate(r.spmd, CostModel::low_latency());
+  ExecResult slow = simulate(r.spmd, CostModel::ipsc860());
+  ExecResult fast = simulate(r.spmd, CostModel::low_latency());
   EXPECT_LT(fast.sim_time_us, slow.sim_time_us);
 }
 
@@ -326,8 +284,8 @@ TEST(Machine, DeterministicAcrossRuns) {
       enddo
       end
 )");
-  RunResult a = simulate(r.spmd);
-  RunResult b = simulate(r.spmd);
+  ExecResult a = simulate(r.spmd);
+  ExecResult b = simulate(r.spmd);
   EXPECT_EQ(a.sim_time_us, b.sim_time_us);
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.gather("x"), b.gather("x"));

@@ -7,8 +7,7 @@
 //   * the Compiler's IpaSummaryCache skips local analysis for unchanged
 //     procedures across compile() calls (1-of-N edit re-analyzes 1),
 //   * topological_indices(), the node order of the top-down pass, puts
-//     every caller before its callees,
-//   * the machine simulator runs correctly on a shared ThreadPool.
+//     every caller before its callees.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -326,53 +325,6 @@ TEST(TopologicalIndices, CallersPrecedeCalleesOnEveryWorkload) {
     EXPECT_TRUE(bp.ast.procedures[static_cast<size_t>(order.front())]
                     ->is_program);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Shared pool: ensure_workers + the simulator's processor batch
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, EnsureWorkersGrowsButNeverShrinks) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1);
-  pool.ensure_workers(3);
-  EXPECT_EQ(pool.size(), 3);
-  pool.ensure_workers(2);
-  EXPECT_EQ(pool.size(), 3);
-  std::atomic<int> total{0};
-  pool.parallel_for(64, [&](size_t) { ++total; });
-  EXPECT_EQ(total.load(), 64);
-}
-
-TEST(Simulator, PooledRunMatchesThreadedRun) {
-  CodegenOptions opt;
-  opt.n_procs = 4;
-  Compiler compiler(opt);
-  CompileResult r = compiler.compile_source(bench::fig4(32, 8));
-
-  RunResult threaded = simulate(r.spmd);
-  ThreadPool pool(0);  // run() must grow it to cover the processors
-  Machine pooled(CostModel::ipsc860(), &pool);
-  RunResult viapool = pooled.run(r.spmd);
-  EXPECT_GE(pool.size(), opt.n_procs - 1);
-  EXPECT_EQ(viapool.sim_time_us, threaded.sim_time_us);
-  EXPECT_EQ(viapool.messages, threaded.messages);
-  EXPECT_EQ(viapool.bytes, threaded.bytes);
-  EXPECT_EQ(viapool.gather("x", *r.ipa.reaching.unique_spec("p1", "x")),
-            threaded.gather("x", *r.ipa.reaching.unique_spec("p1", "x")));
-}
-
-TEST(Simulator, CompileAndRunUsesTheSharedPool) {
-  // compile_and_run wires the compiler's pool into the Machine; the
-  // result must match a plain simulate() of the same program.
-  std::string src = bench::stencil1d(64);
-  CodegenOptions opt;
-  opt.n_procs = 4;
-  RunResult pooled = compile_and_run(src, opt);
-  Compiler compiler(opt);
-  RunResult plain = simulate(compiler.compile_source(src).spmd);
-  EXPECT_EQ(pooled.sim_time_us, plain.sim_time_us);
-  EXPECT_EQ(pooled.messages, plain.messages);
 }
 
 }  // namespace

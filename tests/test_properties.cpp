@@ -183,7 +183,7 @@ TEST_P(ShiftStencilProperty, MatchesOracle) {
 
   CodegenOptions opt;
   opt.n_procs = c.procs;
-  RunResult run = compile_and_run(src, opt);
+  ExecResult run = compile_and_run(src, opt);
   DecompSpec block;
   block.dists = {DistSpec{DistKind::Block, 0}};
   auto got = run.gather("x", block);
@@ -218,7 +218,7 @@ TEST(ShiftStencil, ShortAndEmptyBlocksAtLargeP) {
                       "\n        x(i) = x(i+1)\n      enddo\n      end\n";
     CodegenOptions opt;
     opt.n_procs = procs;
-    RunResult run = compile_and_run(src, opt);
+    ExecResult run = compile_and_run(src, opt);
     DecompSpec block;
     block.dists = {DistSpec{DistKind::Block, 0}};
     auto got = run.gather("x", block);

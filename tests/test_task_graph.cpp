@@ -14,8 +14,7 @@
 //     hit/miss counts,
 //   * both IPA propagation passes produce identical maps serially and
 //     on a pool,
-//   * ThreadPool satellites: parallel_for(0) never touches batch state,
-//     ensure_workers grows the pool between batches.
+//   * ThreadPool satellite: parallel_for(0) never touches batch state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -465,26 +464,10 @@ TEST(ThreadPool, EmptyBatchIsANoOp) {
   bool called = false;
   pool.parallel_for(0, [&](size_t) { called = true; });
   EXPECT_FALSE(called);
-  // Batch state untouched: ensure_workers (asserts no batch in flight in
-  // debug builds) and a real batch both still work.
-  pool.ensure_workers(3);
-  EXPECT_GE(pool.size(), 3);
+  // Batch state untouched: a real batch still works.
   std::atomic<int> ran{0};
   pool.parallel_for(8, [&](size_t) { ran++; });
   EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, EnsureWorkersGrowsBetweenBatches) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1);
-  std::atomic<int> ran{0};
-  pool.parallel_for(4, [&](size_t) { ran++; });
-  pool.ensure_workers(4);
-  EXPECT_EQ(pool.size(), 4);
-  pool.ensure_workers(2);  // never shrinks
-  EXPECT_EQ(pool.size(), 4);
-  pool.parallel_for(12, [&](size_t) { ran++; });
-  EXPECT_EQ(ran.load(), 16);
 }
 
 }  // namespace
