@@ -5,23 +5,32 @@
                              [--threshold FRACTION]
 
 For every BENCH_<name>.json present in *both* directories, benchmarks are
-matched by their "name" field and compared on wall-clock ("real_time",
-normalized to nanoseconds). The script exits 1 when any benchmark's new
-wall time exceeds baseline * (1 + threshold) — default threshold 0.25,
-i.e. a >25% regression fails CI.
+matched by their "name" field and compared two ways:
 
-Individual benchmarks may carry a wider threshold via PER_BENCH_THRESHOLD
-(matched by longest prefix of the benchmark name): scheduler and
-remote-cache microbenches time thread handoffs and socket round trips,
-which jitter far beyond 25% on loaded CI machines without any code
-change. --threshold only moves the global default; the per-bench
-overrides always win where they are wider.
+  * counters — every field a benchmark adds to google-benchmark's own
+    (msgs, bytes, kbytes, sim_ms, remaps, clones, generated, disk_hits,
+    ...). Each is a deterministic compiler or simulator quantity, so any
+    counter that differs from its baseline, or is missing, fails the diff
+    and is named with its benchmark. A counter new on the fresh side is
+    reported only.
+  * wall clock ("real_time", normalized to nanoseconds). The script fails
+    when a benchmark's new wall time exceeds baseline * (1 + threshold) —
+    default threshold 0.25, i.e. a >25% regression.
+
+The script exits 1 on either failure.
+
+Individual benchmarks may carry a wider time threshold via
+PER_BENCH_THRESHOLD (matched by longest prefix of the benchmark name):
+scheduler and daemon microbenches time thread handoffs and loopback
+round trips, which jitter far beyond 25% on loaded CI machines without
+any code change. --threshold only moves the global default; the
+per-bench overrides always win where they are wider.
 
 Benchmarks or whole files present on only one side are reported but never
 fail the diff: adding a benchmark (or retiring one) is not a regression.
 A fresh BENCH_<name>.json with no committed baseline (a newly added bench
 binary) is announced with re-baselining instructions and skipped — the
-diff still exits 0. Counter-only entries without timings are skipped.
+diff still exits 0.
 
 Typical CI sequence:
 
@@ -45,6 +54,16 @@ import pathlib
 import sys
 
 TIME_UNITS_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# google-benchmark's own fields; every other number is a user counter.
+# The *_per_second rates are timings, not counters.
+GBENCH_FIELDS = {
+    "name", "family_index", "per_family_instance_index", "run_name",
+    "run_type", "repetitions", "repetition_index", "threads", "iterations",
+    "real_time", "cpu_time", "time_unit", "aggregate_name", "aggregate_unit",
+    "label", "error_occurred", "error_message", "bytes_per_second",
+    "items_per_second", "big_o", "rms", "complexity_n",
+}
 
 # Benchmark-name prefix -> allowed fractional slowdown. Used when wider
 # than the global --threshold; longest matching prefix wins. These are
@@ -76,9 +95,10 @@ def threshold_for(name, default):
     return best
 
 
-def load_timings(path):
-    """name -> real_time in ns for every timed benchmark in a JSON file,
-    or None when the file is unreadable (e.g. a truncated run)."""
+def load_results(path):
+    """name -> (real_time in ns or None, {counter: value}) for every
+    benchmark in a JSON file, or None when the file is unreadable (e.g. a
+    truncated run)."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -89,10 +109,25 @@ def load_timings(path):
     for bm in data.get("benchmarks", []):
         if bm.get("run_type") == "aggregate" and bm.get("aggregate_name") != "mean":
             continue
-        if "real_time" not in bm:
-            continue
-        unit = TIME_UNITS_NS.get(bm.get("time_unit", "ns"), 1.0)
-        out[bm["name"]] = bm["real_time"] * unit
+        real = None
+        if "real_time" in bm:
+            real = bm["real_time"] * TIME_UNITS_NS.get(bm.get("time_unit", "ns"), 1.0)
+        counters = {k: v for k, v in bm.items()
+                    if k not in GBENCH_FIELDS and isinstance(v, (int, float))
+                    and not isinstance(v, bool)}
+        out[bm["name"]] = (real, counters)
+    return out
+
+
+def counter_diffs(name, base, new):
+    """Lines naming every baseline counter of `name` that changed or is
+    missing on the fresh side."""
+    out = []
+    for key in sorted(base):
+        if key not in new:
+            out.append(f"{name}: counter '{key}' missing (baseline {base[key]:g})")
+        elif new[key] != base[key]:
+            out.append(f"{name}: counter '{key}' {base[key]:g} -> {new[key]:g}")
     return out
 
 
@@ -105,7 +140,7 @@ def fmt_ns(ns):
 
 def main():
     ap = argparse.ArgumentParser(
-        description="fail on benchmark wall-time regressions")
+        description="fail on changed counters and wall-time regressions")
     ap.add_argument("--baseline-dir", default=".",
                     help="directory holding committed BENCH_*.json "
                          "(default: repo root)")
@@ -137,39 +172,52 @@ def main():
                       f"{new_path.name}", file=sys.stderr)
 
     regressions = []
+    counter_failures = []
     compared = 0
     for base_path in baselines:
         new_path = new_dir / base_path.name
         if not new_path.exists():
             print(f"-- {base_path.name}: no fresh run (skipped)")
             continue
-        base = load_timings(base_path)
-        new = load_timings(new_path)
+        base = load_results(base_path)
+        new = load_results(new_path)
         if base is None or new is None:
             continue
         for name in sorted(base):
             if name not in new:
                 print(f"-- {base_path.name}: '{name}' retired (skipped)")
                 continue
+            (base_ns, base_counters), (new_ns, new_counters) = base[name], new[name]
+            for line in counter_diffs(name, base_counters, new_counters):
+                print(f"{'COUNTER':>10}  {base_path.name}: {line}")
+                counter_failures.append(line)
+            for key in sorted(set(new_counters) - set(base_counters)):
+                print(f"       new  {name}: counter '{key}' (no baseline)")
+            if base_ns is None or new_ns is None:
+                continue
             compared += 1
-            ratio = new[name] / base[name] if base[name] > 0 else 1.0
+            ratio = new_ns / base_ns if base_ns > 0 else 1.0
             limit = threshold_for(name, args.threshold)
             marker = "REGRESSION" if ratio > 1 + limit else "ok"
             note = f" [limit {limit * 100:.0f}%]" if limit != args.threshold \
                 else ""
-            print(f"{marker:>10}  {name}: {fmt_ns(base[name])} -> "
-                  f"{fmt_ns(new[name])}  ({(ratio - 1) * 100:+.1f}%){note}")
+            print(f"{marker:>10}  {name}: {fmt_ns(base_ns)} -> "
+                  f"{fmt_ns(new_ns)}  ({(ratio - 1) * 100:+.1f}%){note}")
             if ratio > 1 + limit:
                 regressions.append((name, ratio))
         for name in sorted(set(new) - set(base)):
-            print(f"       new  {name}: {fmt_ns(new[name])} (no baseline)")
+            print(f"       new  {name} (no baseline)")
 
+    if counter_failures:
+        print(f"\ndiff_benchmarks: {len(counter_failures)} counter(s) differ "
+              "from their baselines")
     if regressions:
         print(f"\ndiff_benchmarks: {len(regressions)} regression(s) beyond "
               f"{args.threshold * 100:.0f}% (see docstring for re-baselining)")
+    if counter_failures or regressions:
         return 1
     print(f"\ndiff_benchmarks: {compared} benchmark(s) within "
-          f"{args.threshold * 100:.0f}%")
+          f"{args.threshold * 100:.0f}%, every counter equal")
     return 0
 
 

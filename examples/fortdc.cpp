@@ -12,7 +12,7 @@
 //                   on an unchanged program recompiles nothing; after an
 //                   edit, only the procedures §8's recompilation tests
 //                   dirty
-//     -cache-max-bytes N  LRU size bound of the cache dir (default 256 MiB)
+//     -cache-max-bytes N  size bound of the cache pack (default 256 MiB)
 //     -cache-clear  empty the cache directory before compiling
 //     -cache-stats-json  print cumulative per-tier cache counters as JSON
 //                   to stdout after compiling
@@ -325,25 +325,10 @@ int main(int argc, char** argv) {
       // report, so the JSON stream carries an id for every finding.
       if (lint_json)
         std::fputs(compiler.last_lint_report().json().c_str(), stdout);
-      std::fputs(result.lint.text().c_str(), stderr);
-      std::fputs(result.verify.text().c_str(), stderr);
-      std::fprintf(stderr,
-                   "fortdc: analyze: %d warning(s), %d note(s); spmd: %s\n",
-                   result.lint.warnings, result.lint.notes,
-                   result.verify.summary().c_str());
       findings = result.lint.warnings +
                  static_cast<int>(result.verify.diags.size());
     }
-
-    const CompileStats& st = result.spmd.stats;
-    std::fprintf(stderr,
-                 "fortdc: %d clone(s), %d reduced loop(s), %d guard(s), "
-                 "%d vectorized message(s), %d delayed comm(s), "
-                 "%d run-time-resolved stmt(s)\n",
-                 st.clones_created, st.loops_bounds_reduced,
-                 st.guards_inserted, st.vectorized_messages,
-                 st.delayed_comms_exported + st.delayed_comms_absorbed,
-                 st.runtime_resolved_stmts);
+    std::fputs(compile_report(result, lint_options.analyze).c_str(), stderr);
 
     if (timings) print_timings();
     if (cache_stats_json)

@@ -58,12 +58,6 @@ public:
   /// loop carries one. This is the paper's "commlevel".
   int deepest_true_dep_level_into(const Expr* read_ref) const;
 
-  /// True if some true dependence carried by a loop of this procedure has
-  /// the given rhs reference as its sink.
-  bool has_carried_true_dep_into(const Expr* read_ref) const {
-    return deepest_true_dep_level_into(read_ref) > 0;
-  }
-
   const std::vector<RefInfo>& refs() const { return refs_; }
 
 private:

@@ -1956,15 +1956,13 @@ SpmdProgram CodeGenerator::generate() {
   return std::move(result_);
 }
 
-/// The barrier-free schedule: a TaskGraph node per procedure in reverse
-/// topological order, dependency edges to callees, and a work-stealing
-/// run on the shared pool. A procedure's digest, cache probe and
-/// generation start the moment its own callees finish — by then every
-/// callee export its digest folds in is final. Exports publish into
-/// pre-sized map slots as tasks finish (ordered by the dependency
-/// edges); everything order-sensitive — last_generated_, cache inserts —
-/// is committed after the run in fixed reverse topological order, so
-/// output and digest semantics are byte-identical to the serial walk.
+/// The barrier-free schedule: the callees-first AcgTaskGraph run
+/// work-stealing on the shared pool. A procedure's digest, cache probe
+/// and generation start once its callees finish, when every callee export
+/// its digest folds in is final. Everything order-sensitive —
+/// last_generated_, cache inserts — is committed after the run in fixed
+/// reverse topological order, so output and digest semantics are
+/// byte-identical to the serial walk.
 void CodeGenerator::schedule(std::vector<ProcOut>& outs) {
   const auto& procs = program_.ast.procedures;
   const int jobs = std::max(1, options_.jobs);
@@ -1975,20 +1973,8 @@ void CodeGenerator::schedule(std::vector<ProcOut>& outs) {
     pool = local.get();
   }
 
-  const std::vector<int> order = ipa_.acg.reverse_topological_indices();
-  std::vector<size_t> node_of(procs.size(), 0);
-  for (size_t k = 0; k < order.size(); ++k)
-    node_of[static_cast<size_t>(order[k])] = k;
-
-  TaskGraph graph(order.size());
-  for (size_t k = 0; k < order.size(); ++k) {
-    const std::string& name = procs[static_cast<size_t>(order[k])]->name;
-    for (const CallSiteInfo* site : ipa_.acg.calls_from(name)) {
-      const int callee = ipa_.acg.procedure_index(site->callee);
-      if (callee >= 0)
-        graph.add_dependency(k, node_of[static_cast<size_t>(callee)]);
-    }
-  }
+  AcgTaskGraph tg = ipa_.acg.task_graph(/*callees_first=*/true);
+  const std::vector<int>& order = tg.order;
 
   // Pre-size exports_ so tasks publish by assigning mapped values only.
   // Digest-neutral: procedure_digest and ProcGen consult exports_ by
@@ -1996,7 +1982,7 @@ void CodeGenerator::schedule(std::vector<ProcOut>& outs) {
   // callers run.
   for (const auto& proc : procs) exports_[proc->name];
 
-  graph.run(pool, [&](size_t k) {
+  tg.graph.run(pool, [&](size_t k) {
     const int idx = order[k];
     const Procedure& proc = *procs[static_cast<size_t>(idx)];
     ProcOut& out = outs[static_cast<size_t>(idx)];
@@ -2019,7 +2005,7 @@ void CodeGenerator::schedule(std::vector<ProcOut>& outs) {
     }
     exports_[proc.name] = out.exports;
   });
-  sched_stats_ += graph.stats();
+  sched_stats_ += tg.graph.stats();
 
   // Deterministic commit: everything whose order the serial walk fixed
   // is published in reverse topological order, regardless of the order
@@ -2037,11 +2023,6 @@ void CodeGenerator::schedule(std::vector<ProcOut>& outs) {
       cache_->insert(out.digest, std::move(entry));
     }
   }
-}
-
-const ProcExports* CodeGenerator::exports_of(const std::string& proc) const {
-  auto it = exports_.find(proc);
-  return it == exports_.end() ? nullptr : &it->second;
 }
 
 SpmdProgram generate_spmd(const BoundProgram& program, const IpaContext& ipa,

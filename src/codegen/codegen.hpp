@@ -82,9 +82,6 @@ public:
   /// for an empty program).
   const TaskGraphStats& scheduler_stats() const { return sched_stats_; }
 
-  /// Exports of an already compiled procedure (test/bench introspection).
-  const ProcExports* exports_of(const std::string& proc) const;
-
   /// Names of the procedures that actually ran through ProcGen in the
   /// last generate() — cache hits are excluded. Reverse topological
   /// order.

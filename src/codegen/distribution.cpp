@@ -214,12 +214,6 @@ ArrayDistribution ArrayDistribution::replicated(
                            nprocs);
 }
 
-std::optional<ArrayDistribution> ArrayDistribution::from_symbol(
-    const Symbol& sym, const DecompSpec& spec, int nprocs) {
-  if (!sym.dims_const) return std::nullopt;
-  return ArrayDistribution(sym.name, spec, sym.dims, nprocs);
-}
-
 bool ArrayDistribution::replicated_p() const {
   if (spec_.is_top) return false;
   return spec_.distributed_dims() == 0;
@@ -234,12 +228,6 @@ int ArrayDistribution::dist_dim() const {
 DimDistribution ArrayDistribution::dim(int d) const {
   auto [lb, ub] = bounds_[static_cast<size_t>(d)];
   return DimDistribution(spec_.dists[static_cast<size_t>(d)], lb, ub, nprocs_);
-}
-
-Rsd ArrayDistribution::local_section(int p) const {
-  std::vector<Triplet> dims;
-  for (int d = 0; d < rank(); ++d) dims.push_back(dim(d).local_set(p));
-  return Rsd(std::move(dims));
 }
 
 int ArrayDistribution::owner_of(const std::vector<int64_t>& point) const {

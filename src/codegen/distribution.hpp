@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "frontend/ast.hpp"
 #include "ir/decomp.hpp"
@@ -63,9 +62,6 @@ public:
   static ArrayDistribution replicated(std::string array,
                                       std::vector<std::pair<int64_t, int64_t>> bounds,
                                       int nprocs);
-  static std::optional<ArrayDistribution> from_symbol(const Symbol& sym,
-                                                      const DecompSpec& spec,
-                                                      int nprocs);
 
   const std::string& array() const { return array_; }
   const DecompSpec& spec() const { return spec_; }
@@ -79,8 +75,6 @@ public:
   int dist_dim() const;
   DimDistribution dim(int d) const;
 
-  /// Section of the global index space owned by processor p.
-  Rsd local_section(int p) const;
   /// Owner of a full index point; processors own points along the single
   /// distributed dim (0 for replicated arrays — every processor holds a
   /// copy and 0 is the canonical owner).

@@ -67,8 +67,6 @@ struct SpmdProgram {
       if (p->is_program) return p.get();
     return nullptr;
   }
-  /// Total per-processor data words across the main program's arrays.
-  int64_t main_local_words() const;
 };
 
 }  // namespace fortd

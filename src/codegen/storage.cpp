@@ -6,16 +6,6 @@
 
 namespace fortd {
 
-int64_t SpmdProgram::main_local_words() const {
-  const Procedure* m = main();
-  if (!m) return 0;
-  auto it = storage.find(m->name);
-  if (it == storage.end()) return 0;
-  int64_t words = 0;
-  for (const auto& info : it->second) words += info.local_words();
-  return words;
-}
-
 std::vector<ArrayStorageInfo> compute_storage(const CodeGenerator& cg,
                                               const Procedure& proc,
                                               const ProcExports& exports,

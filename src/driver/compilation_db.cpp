@@ -1,28 +1,27 @@
 #include "driver/compilation_db.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cstdio>
+#include <cerrno>
+#include <climits>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
-#include "support/compress.hpp"
 #include "support/serialize.hpp"
-
-namespace fs = std::filesystem;
 
 namespace fortd {
 
 namespace {
 
-// Blob envelope: magic | format_hash | digest | comp_size | raw_size |
-// LZ(payload) | fnv1a(LZ(payload)). All integers fixed-width
-// little-endian so truncation checks are trivial; the checksum covers the
-// compressed bytes, so envelope validation never pays a decompression.
 constexpr uint8_t kMagic[4] = {'F', 'D', 'C', 'A'};
-constexpr size_t kHeaderSize = 4 + 8 + 8 + 8 + 8;
-constexpr size_t kTrailerSize = 8;
+constexpr size_t kHeaderSize = 4 + 8 + 8 + 8;  // magic, format, digest, size
+constexpr size_t kTrailerSize = 8;              // checksum
+constexpr size_t kIoChunk = 64 << 10;  // scan window and rewrite buffer
 
 void put_u64(std::vector<uint8_t>& out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (i * 8)));
@@ -34,70 +33,40 @@ uint64_t get_u64(const uint8_t* p) {
   return v;
 }
 
-std::optional<std::vector<uint8_t>> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  if (in.bad()) return std::nullopt;
-  return bytes;
+void append_envelope(std::vector<uint8_t>& out, uint64_t format_hash,
+                     uint64_t digest, const std::vector<uint8_t>& payload) {
+  const size_t start = out.size();
+  out.insert(out.end(), kMagic, kMagic + 4);
+  put_u64(out, format_hash);
+  put_u64(out, digest);
+  put_u64(out, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  put_u64(out, fnv1a(out.data() + start, out.size() - start));
 }
 
-/// Write-to-temp + atomic rename; false on any I/O failure.
-bool write_file_atomic(const std::string& path,
-                       const std::vector<uint8_t>& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return false;
-  }
-  return true;
+bool envelope_ok(const uint8_t* p, size_t n, uint64_t format_hash,
+                 uint64_t digest) {
+  return n >= kHeaderSize + kTrailerSize && std::memcmp(p, kMagic, 4) == 0 &&
+         get_u64(p + 4) == format_hash && get_u64(p + 12) == digest &&
+         get_u64(p + 20) == n - kHeaderSize - kTrailerSize &&
+         get_u64(p + n - kTrailerSize) == fnv1a(p, n - kTrailerSize);
 }
 
-std::optional<uint64_t> parse_hex_digest(const std::string& name) {
-  if (name.size() != 16) return std::nullopt;
-  uint64_t v = 0;
-  for (char c : name) {
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else return std::nullopt;
-    v = (v << 4) | static_cast<uint64_t>(d);
-  }
-  return v;
+// Regular files read and write whole unless at end of file or on error.
+bool read_at(int fd, uint8_t* buf, size_t n, uint64_t offset) {
+  return ::pread(fd, buf, n, static_cast<off_t>(offset)) ==
+         static_cast<ssize_t>(n);
 }
 
-/// Header fields of a structurally valid envelope (magic, sizes, and
-/// checksum verified; format hash NOT compared against anything).
-struct BlobInfo {
-  uint64_t format_hash = 0;
-  uint64_t digest = 0;
-  uint64_t raw_size = 0;
-};
+bool write_all(int fd, const std::vector<uint8_t>& bytes) {
+  return ::write(fd, bytes.data(), bytes.size()) ==
+         static_cast<ssize_t>(bytes.size());
+}
 
-std::optional<BlobInfo> inspect_blob_envelope(
-    const std::vector<uint8_t>& blob) {
-  if (blob.size() < kHeaderSize + kTrailerSize) return std::nullopt;
-  if (std::memcmp(blob.data(), kMagic, 4) != 0) return std::nullopt;
-  BlobInfo info;
-  info.format_hash = get_u64(blob.data() + 4);
-  info.digest = get_u64(blob.data() + 12);
-  const uint64_t comp_size = get_u64(blob.data() + 20);
-  info.raw_size = get_u64(blob.data() + 28);
-  if (blob.size() != kHeaderSize + comp_size + kTrailerSize)
-    return std::nullopt;
-  const uint8_t* comp = blob.data() + kHeaderSize;
-  if (get_u64(comp + comp_size) != fnv1a(comp, comp_size)) return std::nullopt;
-  return info;
+// Without flock support the store runs unlocked, as a single writer would.
+void lock_fd(int fd, int op) {
+  while (::flock(fd, op) != 0 && errno == EINTR) {
+  }
 }
 
 }  // namespace
@@ -106,157 +75,120 @@ uint64_t artifact_format_hash(const std::string& kind) {
   BinaryWriter w;
   w.str(kind);
   w.u64(kSerializeFormatVersion);
-  w.u64(kCompressFormatVersion);
   return fnv1a(w.bytes());
 }
 
 std::vector<uint8_t> make_blob_envelope(uint64_t format_hash, uint64_t digest,
                                         const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> comp = compress_bytes(payload);
   std::vector<uint8_t> out;
-  out.reserve(kHeaderSize + comp.size() + kTrailerSize);
-  for (uint8_t b : kMagic) out.push_back(b);
-  put_u64(out, format_hash);
-  put_u64(out, digest);
-  put_u64(out, comp.size());
-  put_u64(out, payload.size());
-  out.insert(out.end(), comp.begin(), comp.end());
-  put_u64(out, fnv1a(comp.data(), comp.size()));
+  append_envelope(out, format_hash, digest, payload);
   return out;
 }
 
 std::optional<std::vector<uint8_t>> open_blob_envelope(
     const std::vector<uint8_t>& blob, uint64_t format_hash, uint64_t digest) {
-  auto info = inspect_blob_envelope(blob);
-  if (!info || info->format_hash != format_hash || info->digest != digest)
+  if (!envelope_ok(blob.data(), blob.size(), format_hash, digest))
     return std::nullopt;
-  auto raw = decompress_bytes(blob.data() + kHeaderSize,
-                              blob.size() - kHeaderSize - kTrailerSize);
-  if (!raw || raw->size() != info->raw_size) return std::nullopt;
-  return raw;
-}
-
-std::string ContentStore::hex_digest(uint64_t digest) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(digest));
-  return buf;
+  return std::vector<uint8_t>(blob.begin() + kHeaderSize,
+                              blob.end() - kTrailerSize);
 }
 
 bool ContentStore::valid_kind(const std::string& kind) {
-  if (kind.empty() || kind.size() > 64) return false;
-  if (kind == "." || kind == "..") return false;
-  for (char c : kind) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
+  return !kind.empty() && kind.size() <= 64 && kind != "." && kind != ".." &&
+         std::all_of(kind.begin(), kind.end(), [](char c) {
+           return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                  (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
+         });
 }
 
 ContentStore::ContentStore(CacheOptions options)
     : options_(std::move(options)) {
   if (options_.dir.empty()) return;
   std::error_code ec;
-  fs::create_directories(options_.dir, ec);
+  std::filesystem::create_directories(options_.dir, ec);
   std::lock_guard<std::mutex> lock(mu_);
-  load_index_locked();
+  if (lock_pack_locked(LOCK_SH)) lock_fd(fd_, LOCK_UN);
 }
 
-ContentStore::~ContentStore() { flush(); }
-
-std::string ContentStore::blob_path(const std::string& kind,
-                                    uint64_t digest) const {
-  return options_.dir + "/" + kind + "/" + hex_digest(digest);
+ContentStore::~ContentStore() {
+  flush();
+  if (fd_ >= 0) ::close(fd_);
 }
 
-std::string ContentStore::index_path() const { return options_.dir + "/index"; }
-
-void ContentStore::load_index_locked() {
-  // Ticks come from the index file; the artifact population comes from a
-  // filesystem scan, so a missing or stale index degrades gracefully
-  // (unknown blobs get tick 0 and are first in line for eviction, index
-  // entries whose files vanished are dropped).
-  std::map<Key, uint64_t> ticks;
-  if (auto bytes = read_file(index_path())) {
-    std::istringstream in(
-        std::string(bytes->begin(), bytes->end()));
-    std::string tag;
-    int version = 0;
-    uint64_t next_tick = 1;
-    if (in >> tag >> version >> next_tick && tag == "fortd-cache-index" &&
-        version == 1) {
-      next_tick_ = next_tick;
-      std::string kind, hex;
-      uint64_t size, tick;
-      while (in >> kind >> hex >> size >> tick)
-        if (auto digest = parse_hex_digest(hex))
-          ticks[{kind, *digest}] = tick;
+bool ContentStore::lock_pack_locked(int op) {
+  const std::string path = options_.dir + "/pack";
+  bool reopened = false;
+  for (;;) {
+    if (fd_ < 0) {
+      fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC,
+                   0644);
+      // A read-only cache still serves loads; its writes fail and drop.
+      if (fd_ < 0) fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+      if (fd_ < 0) return false;
+      reopened = true;
     }
+    lock_fd(fd_, op);
+    struct stat held, named;
+    if (::fstat(fd_, &held) == 0 && ::stat(path.c_str(), &named) == 0 &&
+        held.st_ino == named.st_ino && held.st_dev == named.st_dev)
+      break;
+    ::close(fd_);  // another store's rewrite renamed a new pack over it
+    fd_ = -1;
   }
+  if (reopened) {
+    // index_'s offsets belong to the old file; keep this store's recency.
+    std::map<Key, Entry> before;
+    before.swap(index_);
+    scanned_end_ = 0;
+    torn_ = false;
+    scan_locked();
+    for (auto& [key, entry] : index_)
+      if (auto it = before.find(key); it != before.end())
+        entry.tick = it->second.tick;
+  }
+  return true;
+}
 
-  std::error_code ec;
-  for (const auto& kind_dir : fs::directory_iterator(options_.dir, ec)) {
-    if (!kind_dir.is_directory(ec)) continue;
-    const std::string kind = kind_dir.path().filename().string();
-    if (!valid_kind(kind)) continue;  // foreign directories stay foreign
-    for (const auto& file : fs::directory_iterator(kind_dir.path(), ec)) {
-      if (!file.is_regular_file(ec)) continue;
-      auto digest = parse_hex_digest(file.path().filename().string());
-      if (!digest) continue;  // temp files, foreign junk
-      Entry entry;
-      entry.size = file.file_size(ec);
-      if (ec) entry.size = 0;
-      auto it = ticks.find({kind, *digest});
-      entry.tick = it != ticks.end() ? it->second : 0;
-      next_tick_ = std::max(next_tick_, entry.tick + 1);
-      index_[{kind, *digest}] = entry;
+void ContentStore::scan_locked() {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return;
+  const uint64_t end = static_cast<uint64_t>(st.st_size);
+  // Headers are read through one bounded window; payloads are skipped.
+  std::vector<uint8_t> window;
+  uint64_t window_off = 0;
+  const auto bytes_at = [&](uint64_t off, size_t n) -> const uint8_t* {
+    if (off < window_off || off + n > window_off + window.size()) {
+      window_off = off;
+      window.resize(std::min<uint64_t>(kIoChunk, end - off));
+      if (!read_at(fd_, window.data(), window.size(), off)) window.clear();
     }
+    return off + n <= window_off + window.size()
+               ? window.data() + (off - window_off)
+               : nullptr;
+  };
+  uint64_t off = scanned_end_;
+  while (off < end) {
+    const uint8_t* p = bytes_at(off, 1);
+    const size_t k = p ? p[0] : 0;
+    const uint8_t* h = k ? bytes_at(off, 1 + k + kHeaderSize) : nullptr;
+    if (!h) break;
+    const std::string kind(h + 1, h + 1 + k);
+    const uint8_t* env = h + 1 + k;
+    const uint64_t framed = 1 + k + kHeaderSize + kTrailerSize;
+    const uint64_t size = get_u64(env + 20);
+    if (!valid_kind(kind) || std::memcmp(env, kMagic, 4) != 0 ||
+        end - off < framed || size > end - off - framed)
+      break;  // unframed, or torn by a write that never finished
+    Entry& entry = index_[{kind, get_u64(env + 12)}];
+    entry.offset = off;
+    entry.size = framed + size;
+    off += entry.size;
   }
-}
-
-void ContentStore::quarantine_locked(const std::string& kind,
-                                     uint64_t digest) {
-  ++counters_.corrupt;
-  index_.erase({kind, digest});
-  index_dirty_ = true;
-  if (options_.dir.empty()) return;
-  std::error_code ec;
-  fs::remove(blob_path(kind, digest), ec);
-}
-
-std::optional<std::vector<uint8_t>> ContentStore::local_blob_locked(
-    const std::string& kind, uint64_t format_hash, uint64_t digest) {
-  const Key key{kind, digest};
-
-  if (auto pit = pending_.find(key); pit != pending_.end()) {
-    auto info = inspect_blob_envelope(pit->second);
-    if (info && info->format_hash == format_hash && info->digest == digest)
-      return pit->second;
-    // A pending blob written under a different format hash (never in
-    // practice: one process runs one codec version).
-    return std::nullopt;
+  if (off < end && !torn_) {
+    torn_ = true;
+    ++counters_.corrupt;
   }
-
-  if (options_.dir.empty()) return std::nullopt;
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  auto blob = read_file(blob_path(kind, digest));
-  if (!blob) {
-    // File vanished under us: plain miss, fix the index.
-    index_.erase(it);
-    index_dirty_ = true;
-    return std::nullopt;
-  }
-  auto info = inspect_blob_envelope(*blob);
-  if (!info || info->format_hash != format_hash || info->digest != digest) {
-    // Truncation, bit flip, or version skew: quarantine the slot.
-    quarantine_locked(kind, digest);
-    return std::nullopt;
-  }
-  it->second.tick = next_tick_++;
-  index_dirty_ = true;
-  return blob;
+  scanned_end_ = off;
 }
 
 std::optional<std::vector<uint8_t>> ContentStore::load(const std::string& kind,
@@ -264,93 +196,195 @@ std::optional<std::vector<uint8_t>> ContentStore::load(const std::string& kind,
                                                        uint64_t digest) {
   if (options_.dir.empty()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!valid_kind(kind)) {
+  const Key key{kind, digest};
+  const size_t framing = 1 + kind.size();
+  std::vector<uint8_t> record;
+  uint64_t* tick = nullptr;  // of the pending or indexed record, if any
+  if (auto p = pending_.find(key); p != pending_.end()) {
+    record = p->second.record;
+    tick = &p->second.tick;
+  } else if (auto e = index_.find(key); e != index_.end()) {
+    record.resize(e->second.size);
+    if (!read_at(fd_, record.data(), record.size(), e->second.offset))
+      record.clear();
+    tick = &e->second.tick;
+  }
+  if (tick && (record.size() < framing ||
+               !envelope_ok(record.data() + framing, record.size() - framing,
+                            format_hash, digest))) {
+    // Truncation, bit flip, or version skew: a fresh store() of the key
+    // appends a record that wins at the next open.
+    pending_.erase(key);
+    index_.erase(key);
+    ++counters_.corrupt;
+    tick = nullptr;
+  }
+  if (!tick) {  // absent (an invalid kind is never stored) or corrupt
     ++counters_.misses;
     return std::nullopt;
   }
-  if (auto blob = local_blob_locked(kind, format_hash, digest)) {
-    if (auto payload = open_blob_envelope(*blob, format_hash, digest)) {
-      ++counters_.hits;
-      return payload;
-    }
-    // Checksum passed but the payload would not decompress to its
-    // declared size: treat exactly like disk corruption.
-    pending_.erase({kind, digest});
-    quarantine_locked(kind, digest);
-  }
-  ++counters_.misses;
-  return std::nullopt;
+  *tick = next_tick_++;
+  ++counters_.hits;
+  return std::vector<uint8_t>(record.begin() + framing + kHeaderSize,
+                              record.end() - kTrailerSize);
 }
 
 void ContentStore::store(const std::string& kind, uint64_t format_hash,
                          uint64_t digest, std::vector<uint8_t> payload) {
-  if (options_.dir.empty()) return;
-  if (!valid_kind(kind)) return;  // dropped write, never a path component
-  std::vector<uint8_t> blob = make_blob_envelope(format_hash, digest, payload);
+  if (options_.dir.empty() || !valid_kind(kind)) return;
+  Pending p;
+  p.record.reserve(1 + kind.size() + kHeaderSize + payload.size() +
+                   kTrailerSize);
+  p.record.push_back(static_cast<uint8_t>(kind.size()));
+  p.record.insert(p.record.end(), kind.begin(), kind.end());
+  append_envelope(p.record, format_hash, digest, payload);
   std::lock_guard<std::mutex> lock(mu_);
-  pending_[{kind, digest}] = std::move(blob);
+  p.tick = next_tick_++;
+  pending_[{kind, digest}] = std::move(p);
 }
 
 void ContentStore::mark_corrupt(const std::string& kind, uint64_t digest) {
-  if (options_.dir.empty()) return;
-  if (!valid_kind(kind)) return;
+  if (options_.dir.empty() || !valid_kind(kind)) return;
   std::lock_guard<std::mutex> lock(mu_);
   pending_.erase({kind, digest});
-  quarantine_locked(kind, digest);
+  index_.erase({kind, digest});
+  ++counters_.corrupt;
 }
 
 void ContentStore::flush() {
   if (options_.dir.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  std::error_code ec;
-  for (auto& [key, blob] : pending_) {
-    fs::create_directories(options_.dir + "/" + key.first, ec);
-    const std::string path = blob_path(key.first, key.second);
-    if (!write_file_atomic(path, blob)) continue;  // dropped write
-    index_[key] = Entry{blob.size(), next_tick_++};
-    ++counters_.writes;
-    index_dirty_ = true;
+  const uint64_t max = options_.max_bytes;
+  if (pending_.empty() && !torn_ && (max == 0 || scanned_end_ <= max)) return;
+  if (lock_pack_locked(LOCK_EX)) {
+    if (!torn_) scan_locked();  // what other stores appended meanwhile
+    uint64_t bytes = scanned_end_;
+    for (const auto& [key, p] : pending_) bytes += p.record.size();
+    if (torn_ || (max > 0 && bytes > max))
+      rewrite_locked();
+    else
+      append_locked();
+    lock_fd(fd_, LOCK_UN);
   }
-  pending_.clear();
+  pending_.clear();  // what did not land is a dropped write
+}
 
-  // LRU GC: evict oldest-tick artifacts until the size bound holds.
-  if (options_.max_bytes > 0) {
-    uint64_t total = 0;
-    for (const auto& [key, entry] : index_) total += entry.size;
-    while (total > options_.max_bytes && !index_.empty()) {
-      auto victim = index_.begin();
-      for (auto it = index_.begin(); it != index_.end(); ++it)
-        if (it->second.tick < victim->second.tick) victim = it;
-      fs::remove(blob_path(victim->first.first, victim->first.second), ec);
-      total -= std::min(total, victim->second.size);
-      index_.erase(victim);
-      ++counters_.evictions;
-      index_dirty_ = true;
+void ContentStore::append_locked() {
+  // Straight from the pending map, in key order, so two compilers of one
+  // program write identical packs.
+  std::vector<iovec> iov;
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    const auto first = it;
+    size_t bytes = 0;
+    iov.clear();
+    for (; it != pending_.end() && iov.size() < IOV_MAX; ++it) {
+      iov.push_back({it->second.record.data(), it->second.record.size()});
+      bytes += it->second.record.size();
+    }
+    const ssize_t n = ::writev(fd_, iov.data(), static_cast<int>(iov.size()));
+    if (n < 0 || static_cast<size_t>(n) != bytes) {
+      torn_ = n > 0;  // part of a record landed: the next flush rewrites
+      return;
+    }
+    for (auto r = first; r != it; ++r) {
+      index_[r->first] = {scanned_end_, r->second.record.size(), r->second.tick};
+      scanned_end_ += r->second.record.size();
+      ++counters_.writes;
     }
   }
+}
 
-  if (!index_dirty_) return;
-  std::ostringstream out;
-  out << "fortd-cache-index 1 " << next_tick_ << "\n";
-  for (const auto& [key, entry] : index_)
-    out << key.first << " " << hex_digest(key.second) << " " << entry.size
-        << " " << entry.tick << "\n";
-  const std::string text = out.str();
-  if (write_file_atomic(index_path(),
-                        std::vector<uint8_t>(text.begin(), text.end())))
-    index_dirty_ = false;
+void ContentStore::rewrite_locked() {
+  std::vector<Kept> used, unused;
+  uint64_t all = 0;
+  for (const auto& [key, e] : index_)
+    if (!pending_.count(key)) {
+      (e.tick ? used : unused).push_back({&key, e, nullptr});
+      all += e.size;
+    }
+  for (const auto& [key, p] : pending_) {
+    used.push_back({&key, {0, p.record.size(), p.tick}, &p.record});
+    all += p.record.size();
+  }
+  std::sort(used.begin(), used.end(), [](const Kept& a, const Kept& b) {
+    return a.entry.tick > b.entry.tick;
+  });
+  std::sort(unused.begin(), unused.end(), [](const Kept& a, const Kept& b) {
+    return a.entry.offset > b.entry.offset;
+  });
+  // When everything fits (a torn tail) nothing is evicted; otherwise the
+  // max_bytes/2 limit on unused records leaves headroom, so a full pack
+  // is not rewritten on every compile.
+  const uint64_t max = options_.max_bytes;
+  std::vector<Kept> kept;
+  uint64_t total = 0;
+  for (const auto& [from, limit] : {std::pair{&used, max}, {&unused, max / 2}})
+    for (const Kept& k : *from) {
+      if (max > 0 && all > max && total + k.entry.size > limit) break;
+      total += k.entry.size;
+      kept.push_back(k);
+    }
+  std::reverse(kept.begin(), kept.end());  // oldest first: place is age
+  if (!replace_pack_locked(kept)) return;
+  counters_.evictions += used.size() + unused.size() - kept.size();
+  for (const Kept& k : kept) counters_.writes += k.pending ? 1 : 0;
+}
+
+bool ContentStore::replace_pack_locked(const std::vector<Kept>& kept) {
+  std::string tmp = options_.dir + "/pack.XXXXXX";
+  const int fd = ::mkostemp(tmp.data(), O_CLOEXEC);
+  if (fd < 0) return false;
+  ::fchmod(fd, 0644);
+  lock_fd(fd, LOCK_EX);  // nobody appends before index_ describes it
+  std::map<Key, Entry> index;
+  std::vector<uint8_t> out, copy;
+  uint64_t off = 0;
+  bool ok = true;
+  for (const Kept& k : kept) {
+    const std::vector<uint8_t>* record = k.pending;
+    if (!record) {
+      // Copied records are checked: a rewrite never carries damage over.
+      const size_t framing = 1 + k.key->first.size();
+      copy.resize(k.entry.size);
+      if (!read_at(fd_, copy.data(), copy.size(), k.entry.offset) ||
+          !envelope_ok(copy.data() + framing, copy.size() - framing,
+                       get_u64(copy.data() + framing + 4), k.key->second)) {
+        ++counters_.corrupt;
+        continue;
+      }
+      record = &copy;
+    }
+    if (!out.empty() && out.size() + record->size() > kIoChunk) {
+      if (!(ok = write_all(fd, out))) break;
+      out.clear();
+    }
+    out.insert(out.end(), record->begin(), record->end());
+    index[*k.key] = {off, record->size(), k.entry.tick};
+    off += record->size();
+  }
+  const std::string pack = options_.dir + "/pack";
+  if (!ok || !write_all(fd, out) || ::rename(tmp.c_str(), pack.c_str()) != 0) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return false;
+  }
+  ::fcntl(fd, F_SETFL, O_APPEND);
+  ::close(fd_);
+  fd_ = fd;
+  index_ = std::move(index);
+  scanned_end_ = off;
+  torn_ = false;
+  return true;
 }
 
 void ContentStore::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   pending_.clear();
-  if (options_.dir.empty()) return;
-  std::error_code ec;
-  for (const auto& [key, entry] : index_)
-    fs::remove(blob_path(key.first, key.second), ec);
-  fs::remove(index_path(), ec);
   index_.clear();
-  index_dirty_ = false;
+  if (options_.dir.empty() || !lock_pack_locked(LOCK_EX)) return;
+  replace_pack_locked({});
+  index_.clear();
+  lock_fd(fd_, LOCK_UN);
 }
 
 ContentStore::Counters ContentStore::counters() const {
@@ -361,8 +395,7 @@ ContentStore::Counters ContentStore::counters() const {
 size_t ContentStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = index_.size();
-  for (const auto& [key, blob] : pending_)
-    if (!index_.count(key)) ++n;
+  for (const auto& [key, p] : pending_) n += index_.count(key) ? 0 : 1;
   return n;
 }
 

@@ -23,10 +23,15 @@ Compiler::Compiler(CodegenOptions options, IpaOptions ipa_options,
     : options_(options), ipa_options_(ipa_options),
       lint_options_(std::move(lint_options)) {
   if (!cache_options.dir.empty()) {
-    store_ = std::make_unique<ContentStore>(std::move(cache_options));
-    cache_.attach_store(store_.get());
-    summary_cache_.attach_store(store_.get());
+    own_store_ = std::make_unique<ContentStore>(std::move(cache_options));
+    set_shared_store(own_store_.get());
   }
+}
+
+void Compiler::set_shared_store(ContentStore* store) {
+  store_ = store;
+  cache_.attach_store(store);
+  summary_cache_.attach_store(store);
 }
 
 ThreadPool* Compiler::pool() {
@@ -174,6 +179,23 @@ std::string Compiler::cache_stats_json() const {
       << ",\"idle_codegen_ms\":" << stats_.sched_idle_codegen_ms
       << ",\"idle_ipa_ms\":" << stats_.sched_idle_ipa_ms << "}";
   out << "}";
+  return out.str();
+}
+
+std::string compile_report(const CompileResult& result, bool analyze) {
+  std::ostringstream out;
+  if (analyze)
+    out << result.lint.text() << result.verify.text()
+        << "fortdc: analyze: " << result.lint.warnings << " warning(s), "
+        << result.lint.notes << " note(s); spmd: " << result.verify.summary()
+        << "\n";
+  const CompileStats& st = result.spmd.stats;
+  out << "fortdc: " << st.clones_created << " clone(s), "
+      << st.loops_bounds_reduced << " reduced loop(s), " << st.guards_inserted
+      << " guard(s), " << st.vectorized_messages << " vectorized message(s), "
+      << st.delayed_comms_exported + st.delayed_comms_absorbed
+      << " delayed comm(s), " << st.runtime_resolved_stmts
+      << " run-time-resolved stmt(s)\n";
   return out.str();
 }
 

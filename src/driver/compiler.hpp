@@ -61,12 +61,14 @@ struct CompilerStats {
   int lint_notes = 0;
   int verify_unmatched = 0;  // SPMD messages with no partner
 
-  // Persistent compilation-database tier (zero unless CacheOptions.dir is
-  // set): ContentStore counter deltas for this compile().
+  // Persistent compilation-database tier (zero without a disk tier):
+  // ContentStore counter deltas for this compile(). With a shared store
+  // (Compiler::set_shared_store) the deltas include whatever other
+  // Compilers did to the store meanwhile.
   int disk_hits = 0;       // artifacts loaded from the cache directory
   int disk_misses = 0;
-  int disk_corrupt = 0;    // quarantined truncated/bit-flipped/skewed blobs
-  int disk_evictions = 0;  // blobs removed by LRU GC this compile
+  int disk_corrupt = 0;    // truncated/bit-flipped/skewed records dropped
+  int disk_evictions = 0;  // records a pack rewrite left out this compile
 
   // Work-stealing scheduler counters: codegen + the IPA propagation
   // passes summed, except the per-pass idle split.
@@ -123,8 +125,7 @@ public:
 
   /// The persistent compilation database, or nullptr when CacheOptions
   /// left the disk tier disabled.
-  ContentStore* content_store() { return store_.get(); }
-  const ContentStore* content_store() const { return store_.get(); }
+  ContentStore* content_store() { return store_; }
 
   /// Cumulative cache counters of every tier — memory and disk — as
   /// stable machine-readable JSON (fortdc -cache-stats-json).
@@ -142,6 +143,15 @@ public:
   /// per session. Safe because ThreadPool::parallel_for interleaves
   /// concurrent batches.
   void set_shared_pool(ThreadPool* pool) { shared_pool_ = pool; }
+
+  /// Use `store` (not owned, must outlive this Compiler) as the disk tier
+  /// in place of one opened from CacheOptions. The compile service opens
+  /// one store per cache directory and hands it to every session's
+  /// Compiler, so the pack is scanned once and a summary, which no option
+  /// changes, is appended once. The disk counters in CompilerStats are
+  /// then deltas of the shared store and mix in concurrent sessions'
+  /// work; nothing reports them per request.
+  void set_shared_store(ContentStore* store);
 
   /// Stats of the most recent compile(). Like last_lint_report(), this
   /// survives a CompileError: timings of the phases that ran and the
@@ -161,13 +171,20 @@ private:
   IpaOptions ipa_options_;
   LintOptions lint_options_;
   LintReport last_lint_;
-  std::unique_ptr<ContentStore> store_;  // null without a cache dir
+  std::unique_ptr<ContentStore> own_store_;  // opened from CacheOptions
+  ContentStore* store_ = nullptr;            // null without a disk tier
   CompilationCache cache_;
   IpaSummaryCache summary_cache_;
   std::unique_ptr<ThreadPool> pool_;
   ThreadPool* shared_pool_ = nullptr;  // wins over pool_ when set
   CompilerStats stats_;
 };
+
+/// fortdc's stderr report of a successful compile: with `analyze`, the
+/// lint and verifier findings and the "fortdc: analyze:" line, then the
+/// "fortdc: N clone(s), ..." line. fortdc prints it, and fortdd sends it
+/// as a served compile's diagnostics, so the two read identically.
+std::string compile_report(const CompileResult& result, bool analyze);
 
 /// Convenience: compile and simulate in one call.
 ExecResult compile_and_run(std::string_view source,

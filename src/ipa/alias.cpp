@@ -172,38 +172,22 @@ std::set<AliasPair> pull_alias(const BoundProgram& program,
 AliasMap compute_alias_map(const BoundProgram& program,
                            const AugmentedCallGraph& acg, ThreadPool* pool,
                            TaskGraphStats* sched_stats) {
-  // Barrier-free schedule: one node per procedure in topological order
-  // (callers precede callees), each node depending on its callers, the
-  // same shape as the ReachingDecomps work-stealing pass. Entries are
-  // pre-sized so tasks assign mapped values in place without mutating map
-  // structure; caller reads in pull_alias are ordered after the caller's
-  // write by the dependency edge. Empty entries are erased afterwards so
-  // the map is canonical: only procedures with pairs have an entry.
+  // Callers first (AcgTaskGraph), like update_reaching_decomps. Empty
+  // entries are erased afterwards so the map is canonical: only
+  // procedures with pairs have an entry.
   const auto& procs = program.ast.procedures;
-  const std::vector<int>& order = acg.topological_indices();
-  std::vector<size_t> node_of(procs.size(), 0);
-  for (size_t k = 0; k < order.size(); ++k)
-    node_of[static_cast<size_t>(order[k])] = k;
-
-  TaskGraph graph(order.size());
-  for (size_t k = 0; k < order.size(); ++k) {
-    const std::string& name = procs[static_cast<size_t>(order[k])]->name;
-    for (const CallSiteInfo* site : acg.calls_to(name)) {
-      const int caller = acg.procedure_index(site->caller);
-      if (caller >= 0)
-        graph.add_dependency(k, node_of[static_cast<size_t>(caller)]);
-    }
-  }
+  AcgTaskGraph tg = acg.task_graph(/*callees_first=*/false);
+  const std::vector<int>& order = tg.order;
 
   AliasMap am;
   for (size_t k = 0; k < order.size(); ++k)
     am.pairs[procs[static_cast<size_t>(order[k])]->name];
 
-  graph.run(pool, [&](size_t k) {
+  tg.graph.run(pool, [&](size_t k) {
     const std::string& name = procs[static_cast<size_t>(order[k])]->name;
     am.pairs[name] = pull_alias(program, acg, am, name);
   });
-  if (sched_stats) *sched_stats += graph.stats();
+  if (sched_stats) *sched_stats += tg.graph.stats();
 
   for (auto it = am.pairs.begin(); it != am.pairs.end();) {
     if (it->second.empty())

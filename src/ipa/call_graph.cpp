@@ -145,6 +145,26 @@ std::vector<int> AugmentedCallGraph::reverse_topological_indices() const {
   return out;
 }
 
+AcgTaskGraph AugmentedCallGraph::task_graph(bool callees_first) const {
+  AcgTaskGraph g{callees_first ? reverse_topological_indices() : topo_indices_,
+                 std::vector<size_t>(topo_indices_.size(), 0),
+                 TaskGraph(topo_indices_.size())};
+  for (size_t k = 0; k < g.order.size(); ++k)
+    g.node_of[static_cast<size_t>(g.order[k])] = k;
+  for (const CallSiteInfo& site : sites_) {
+    const int caller = procedure_index(site.caller);
+    const int callee = procedure_index(site.callee);
+    if (caller < 0 || callee < 0) continue;
+    const size_t from = g.node_of[static_cast<size_t>(caller)];
+    const size_t to = g.node_of[static_cast<size_t>(callee)];
+    if (callees_first)
+      g.graph.add_dependency(from, to);
+    else
+      g.graph.add_dependency(to, from);
+  }
+  return g;
+}
+
 std::vector<std::vector<int>> AugmentedCallGraph::wavefront_levels() const {
   // level(P) = 1 + max(level(callee)); leaves sit at level 0. Walking the
   // reverse topological order guarantees every callee's level is final
@@ -166,10 +186,6 @@ std::vector<std::vector<int>> AugmentedCallGraph::wavefront_levels() const {
   for (auto it = topo_.rbegin(); it != topo_.rend(); ++it)
     out[static_cast<size_t>(level.at(*it))].push_back(index_of_.at(*it));
   return out;
-}
-
-bool AugmentedCallGraph::has_procedure(const std::string& name) const {
-  return index_of_.count(name) > 0;
 }
 
 }  // namespace fortd

@@ -12,6 +12,7 @@
 #include "analysis/cfg.hpp"
 #include "analysis/symbolic.hpp"
 #include "ir/program.hpp"
+#include "support/task_graph.hpp"
 
 namespace fortd {
 
@@ -35,6 +36,19 @@ struct CallSiteInfo {
   /// variable of an enclosing loop, its range annotation (Fig. 5's
   /// "formal i iterates 1:100:1").
   std::map<int, Triplet> formal_loop_ranges;
+};
+
+/// The dependency graph every interprocedural pass schedules: one
+/// TaskGraph node per procedure and an edge per call site, so a procedure
+/// starts the moment its own callees (or callers) finish, not when a
+/// whole depth level does. The passes publish into map entries pre-sized
+/// before the run: a task assigns mapped values in place, concurrent
+/// tasks touch disjoint entries, and a neighbour's read is ordered after
+/// its write by the edge between them.
+struct AcgTaskGraph {
+  std::vector<int> order;       // node -> procedure index
+  std::vector<size_t> node_of;  // procedure index -> node
+  TaskGraph graph;
 };
 
 class AugmentedCallGraph {
@@ -72,7 +86,11 @@ public:
   /// is the call graph's depth (fortdc -timings reports it).
   std::vector<std::vector<int>> wavefront_levels() const;
 
-  bool has_procedure(const std::string& name) const;
+  /// Callees first (code generation, side effects): nodes follow
+  /// reverse_topological_indices() and each waits for its callees.
+  /// Otherwise callers first (reaching decompositions, aliases): nodes
+  /// follow topological_indices() and each waits for its callers.
+  AcgTaskGraph task_graph(bool callees_first) const;
 
 private:
   std::vector<CallSiteInfo> sites_;

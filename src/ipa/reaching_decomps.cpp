@@ -91,39 +91,19 @@ int update_reaching_decomps(const BoundProgram& program,
                             ReachingDecomps& rd, ThreadPool* pool,
                             TaskGraphStats* sched_stats) {
   (void)summaries;
-  // Barrier-free, dual edge direction to the bottom-up passes: one node
-  // per procedure in topological order (callers precede callees), each
-  // node depending on its *callers* — a procedure re-pulls the moment
-  // its own callers resolved, not when a whole depth level did.
-  //
-  // Publication is in place: rd.reaching/rd.at_stmt are pre-sized with
-  // an entry per procedure before the run, so a task assigns mapped
-  // values without mutating map structure, and caller reads
-  // (pull_reaching's const finds) are ordered after the caller's write
-  // by the dependency edge. Whether a node is a candidate (dirty, or a
-  // caller actually republished) and whether it hits the change cutoff
-  // are pure functions of its callers' outcomes, so the candidate and
-  // recomputed sets — and therefore the final maps — match the serial
-  // schedule exactly. Pre-sized entries of nodes that never published
-  // and had no prior entry are erased afterwards: §8 recompilation
-  // hashes are sensitive to entry *presence* (hash_recompilation mixes
-  // Reaching(P) only when the entry exists), so a lingering empty entry
-  // would perturb digests.
+  // Callers first (AcgTaskGraph): a procedure re-pulls once its own
+  // callers resolved. Whether a node is a candidate (dirty, or a caller
+  // actually republished) and whether it hits the change cutoff are pure
+  // functions of its callers' outcomes, so the recomputed set — and the
+  // final maps — match the serial schedule exactly. Pre-sized entries of
+  // nodes that never published and had no prior entry are erased
+  // afterwards: §8 recompilation hashes are sensitive to entry *presence*
+  // (hash_recompilation mixes Reaching(P) only when the entry exists), so
+  // a lingering empty entry would perturb digests.
   const auto& procs = program.ast.procedures;
-  const std::vector<int>& order = acg.topological_indices();
-  std::vector<size_t> node_of(procs.size(), 0);
-  for (size_t k = 0; k < order.size(); ++k)
-    node_of[static_cast<size_t>(order[k])] = k;
-
-  TaskGraph graph(order.size());
-  for (size_t k = 0; k < order.size(); ++k) {
-    const std::string& name = procs[static_cast<size_t>(order[k])]->name;
-    for (const CallSiteInfo* site : acg.calls_to(name)) {
-      const int caller = acg.procedure_index(site->caller);
-      if (caller >= 0)
-        graph.add_dependency(k, node_of[static_cast<size_t>(caller)]);
-    }
-  }
+  AcgTaskGraph tg = acg.task_graph(/*callees_first=*/false);
+  const std::vector<int>& order = tg.order;
+  const std::vector<size_t>& node_of = tg.node_of;
 
   // had[k]: a stored entry predates this update — the change cutoff must
   // distinguish a genuine prior fixed point from the pre-sized
@@ -138,7 +118,7 @@ int update_reaching_decomps(const BoundProgram& program,
     rd.at_stmt[name];
   }
 
-  graph.run(pool, [&](size_t k) {
+  tg.graph.run(pool, [&](size_t k) {
     const Procedure& proc = *procs[static_cast<size_t>(order[k])];
     bool candidate = dirty.count(proc.name) > 0;
     if (!candidate)
@@ -160,7 +140,7 @@ int update_reaching_decomps(const BoundProgram& program,
     rd.reaching[proc.name] = std::move(pulled);
     published[k] = 1;
   });
-  if (sched_stats) *sched_stats += graph.stats();
+  if (sched_stats) *sched_stats += tg.graph.stats();
 
   int recomputed = 0;
   for (size_t k = 0; k < order.size(); ++k) {

@@ -143,32 +143,13 @@ void update_side_effects(const BoundProgram& program,
                          const std::set<std::string>& dirty, SideEffects& fx,
                          ThreadPool* pool, TaskGraphStats* sched_stats,
                          const AliasMap* aliases) {
-  // Barrier-free: one graph node per procedure in reverse topological
-  // order (a valid topological order of the callee→caller dependency
-  // edges), each dirty node recomputing its entries the moment its own
-  // callees are published — not when a whole depth level is. The four
-  // maps are pre-sized with every dirty name before the run, so a task
-  // publishes by assigning mapped values in place: concurrent tasks
-  // touch disjoint entries and never mutate map structure, and callee
-  // reads (const find in compute_proc_effects) are ordered after the
-  // callee's write by the dependency edge. The final maps are a
-  // per-procedure function of the callee entries, so every schedule —
-  // including the serial index-order walk — produces identical maps.
+  // Callees first (AcgTaskGraph): each dirty node recomputes its four
+  // entries, pre-sized before the run. The final maps are a per-procedure
+  // function of the callee entries, so every schedule — including the
+  // serial index-order walk — produces identical maps.
   const auto& procs = program.ast.procedures;
-  const std::vector<int> order = acg.reverse_topological_indices();
-  std::vector<size_t> node_of(procs.size(), 0);
-  for (size_t k = 0; k < order.size(); ++k)
-    node_of[static_cast<size_t>(order[k])] = k;
-
-  TaskGraph graph(order.size());
-  for (size_t k = 0; k < order.size(); ++k) {
-    const std::string& name = procs[static_cast<size_t>(order[k])]->name;
-    for (const CallSiteInfo* site : acg.calls_from(name)) {
-      const int callee = acg.procedure_index(site->callee);
-      if (callee >= 0)
-        graph.add_dependency(k, node_of[static_cast<size_t>(callee)]);
-    }
-  }
+  AcgTaskGraph tg = acg.task_graph(/*callees_first=*/true);
+  const std::vector<int>& order = tg.order;
   for (const auto& proc : procs) {
     if (!dirty.count(proc->name)) continue;
     fx.gmod[proc->name];
@@ -176,7 +157,7 @@ void update_side_effects(const BoundProgram& program,
     fx.gdefs[proc->name];
     fx.guses[proc->name];
   }
-  graph.run(pool, [&](size_t k) {
+  tg.graph.run(pool, [&](size_t k) {
     const std::string& name = procs[static_cast<size_t>(order[k])]->name;
     if (!dirty.count(name)) return;  // carried over unchanged
     ProcEffects e =
@@ -186,7 +167,7 @@ void update_side_effects(const BoundProgram& program,
     fx.gdefs[name] = std::move(e.defs);
     fx.guses[name] = std::move(e.uses);
   });
-  if (sched_stats) *sched_stats += graph.stats();
+  if (sched_stats) *sched_stats += tg.graph.stats();
 }
 
 SideEffects compute_side_effects(

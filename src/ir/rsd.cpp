@@ -166,12 +166,6 @@ Rsd Rsd::dense(const std::vector<std::pair<int64_t, int64_t>>& bounds) {
   return Rsd(std::move(dims));
 }
 
-Rsd Rsd::empty_like(const Rsd& shape) {
-  std::vector<Triplet> dims(static_cast<size_t>(shape.rank()),
-                            Triplet::empty_range());
-  return Rsd(std::move(dims));
-}
-
 bool Rsd::empty() const {
   if (dims_.empty()) return true;
   return std::any_of(dims_.begin(), dims_.end(),

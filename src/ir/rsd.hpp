@@ -70,7 +70,6 @@ public:
 
   /// Dense section [lb1:ub1, lb2:ub2, ...].
   static Rsd dense(const std::vector<std::pair<int64_t, int64_t>>& bounds);
-  static Rsd empty_like(const Rsd& shape);
 
   int rank() const { return static_cast<int>(dims_.size()); }
   const Triplet& dim(int d) const { return dims_[static_cast<size_t>(d)]; }

@@ -3,14 +3,12 @@
 #include <limits>
 
 #include "codegen/options.hpp"
-#include "support/compress.hpp"
 #include "support/serialize.hpp"
 
 namespace fortd::remote {
 
 uint64_t remote_wire_format_hash() {
-  const uint32_t parts[3] = {kProtocolVersion, kSerializeFormatVersion,
-                             kCompressFormatVersion};
+  const uint32_t parts[2] = {kProtocolVersion, kSerializeFormatVersion};
   return fnv1a(reinterpret_cast<const uint8_t*>(parts), sizeof(parts));
 }
 

@@ -4,7 +4,7 @@
 // BinaryWriter encoding: a one-byte message type, a request-id varint,
 // and then type-specific fields. A connection opens with HELLO carrying
 // the client's wire format hash — a fingerprint of the protocol version
-// plus every serialization and compression format version involved — and
+// and the artifact serialization format version — and
 // the daemon answers HELLO_OK only on an exact match. Version skew
 // between a compiler and a long-running daemon is therefore detected at
 // the handshake, before any request moves, and the client degrades to a
@@ -30,9 +30,8 @@ namespace fortd::remote {
 constexpr uint32_t kProtocolVersion = 3;
 
 /// The handshake fingerprint: protocol version mixed with the artifact
-/// serialization and compression format versions. Any of the three
-/// changing makes clients and daemons mutually unintelligible, and this
-/// hash is how they find out.
+/// serialization format version. Either changing makes clients and
+/// daemons mutually unintelligible, and this hash is how they find out.
 uint64_t remote_wire_format_hash();
 
 enum class MsgType : uint8_t {

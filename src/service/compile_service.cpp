@@ -1,7 +1,6 @@
 #include "service/compile_service.hpp"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <sstream>
 
@@ -18,23 +17,17 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::string fmt(const char* format, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, format);
-  std::vsnprintf(buf, sizeof(buf), format, ap);
-  va_end(ap);
-  return buf;
-}
-
 }  // namespace
 
 CompileService::CompileService(ServiceOptions options)
     : options_(std::move(options)),
       pool_(std::max(1, options_.jobs) - 1),
+      store_(options_.cache_dir.empty()
+                 ? nullptr
+                 : std::make_unique<ContentStore>(CacheOptions{
+                       options_.cache_dir, options_.cache_max_bytes})),
       ast_cache_(options_.ast_cache_bytes),
-      sessions_(options_.max_sessions, options_.jobs, &pool_,
-                options_.cache_dir, options_.cache_max_bytes) {
+      sessions_(options_.max_sessions, options_.jobs, &pool_, store_.get()) {
   loop_.set_cycle_handler(
       [this](std::vector<net::ServerLoop::InFrame>& frames) {
         on_cycle(frames);
@@ -279,33 +272,17 @@ void CompileService::run_job(Job& job, double queue_ms) {
     cw.summaries_computed = static_cast<uint32_t>(stats.summaries_computed);
     cw.spmd = print_spmd(result.spmd);
 
-    // The diagnostics block mirrors fortdc's own stderr lines, so a
-    // served compile and a local one read identically to the user.
-    std::string diag;
     if (job.copts.analyze) {
-      diag += result.lint.text();
-      diag += result.verify.text();
-      diag += fmt("fortdc: analyze: %d warning(s), %d note(s); spmd: %s\n",
-                  result.lint.warnings, result.lint.notes,
-                  result.verify.summary().c_str());
       cw.findings = static_cast<uint32_t>(
           result.lint.warnings +
           static_cast<int>(result.verify.diags.size()));
       if (job.copts.want_lint_json)
         cw.lint_json = session->compiler.last_lint_report().json();
     }
-    const CompileStats& st = result.spmd.stats;
-    diag += fmt("fortdc: %d clone(s), %d reduced loop(s), %d guard(s), "
-                "%d vectorized message(s), %d delayed comm(s), "
-                "%d run-time-resolved stmt(s)\n",
-                st.clones_created, st.loops_bounds_reduced,
-                st.guards_inserted, st.vectorized_messages,
-                st.delayed_comms_exported + st.delayed_comms_absorbed,
-                st.runtime_resolved_stmts);
-    cw.diagnostics = std::move(diag);
+    cw.diagnostics = compile_report(result, job.copts.analyze);
   } catch (const CompileError& e) {
     status = remote::CompileStatus::CompileFail;
-    cw.diagnostics = fmt("fortdc: %s\n", e.what());
+    cw.diagnostics = "fortdc: " + std::string(e.what()) + "\n";
   }
   const double compile_ms = ms_since(t_start) - parse_ms;
 
@@ -315,7 +292,9 @@ void CompileService::run_job(Job& job, double queue_ms) {
     metrics_.compile_ms_total += compile_ms;
   }
   if (job.copts.want_timings) {
-    cw.timings_json = fmt(
+    char json[512];
+    std::snprintf(
+        json, sizeof(json),
         "{\"queue_ms\":%.2f,\"parse_ms\":%.2f,\"compile_ms\":%.2f,"
         "\"bind_ms\":%.2f,\"ipa_ms\":%.2f,\"overlap_ms\":%.2f,"
         "\"codegen_ms\":%.2f,\"parsed_procedures\":%u,\"generated\":%u,"
@@ -323,6 +302,7 @@ void CompileService::run_job(Job& job, double queue_ms) {
         queue_ms, parse_ms, compile_ms, stats.bind_ms, stats.ipa_ms,
         stats.overlap_ms, stats.codegen_ms, cw.parsed_procedures,
         cw.generated, cw.summaries_computed, stats.jobs);
+    cw.timings_json = json;
   }
   send_reply(job, std::move(cw), status);
 }

@@ -16,8 +16,8 @@
 // a warm daemon parses 0 procedures (AstCache) and computes 0 summaries.
 // All sessions share one ThreadPool (concurrent requests split the
 // machine's workers; see ThreadPool's concurrent-batch contract) and one
-// on-disk ContentStore directory, which keeps a restarted daemon warm
-// from disk.
+// ContentStore over the cache directory, which keeps a restarted daemon
+// warm from disk.
 //
 // Graceful drain: drain() (or a DRAIN request) stops admission, lets the
 // queue and in-flight requests finish, then answers DrainOk to every
@@ -30,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -55,7 +56,7 @@ struct ServiceOptions {
   size_t max_sessions = 8;
   /// Serialized-AST cache budget.
   uint64_t ast_cache_bytes = 64ull << 20;
-  /// Persistent ContentStore directory shared by every session ("" = the
+  /// Directory of the ContentStore every session shares ("" = the
   /// sessions are memory-only and a restart starts cold).
   std::string cache_dir;
   uint64_t cache_max_bytes = 256ull << 20;
@@ -119,6 +120,7 @@ class CompileService {
   ServiceOptions options_;
   net::ServerLoop loop_;
   ThreadPool pool_;
+  std::unique_ptr<ContentStore> store_;  // null without a cache dir
   AstCache ast_cache_;
   SessionCache sessions_;
 
@@ -149,7 +151,6 @@ class CompileService {
     double queue_ms_max = 0.0;
     double parse_ms_total = 0.0;
     double compile_ms_total = 0.0;
-    double reply_ms_total = 0.0;
     uint64_t reply_bytes_total = 0;
   };
   Metrics metrics_;  // guarded by mu_

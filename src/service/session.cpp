@@ -78,12 +78,11 @@ AstCache::Counters AstCache::counters() const {
 }
 
 SessionCache::SessionCache(size_t max_sessions, int jobs, ThreadPool* pool,
-                           std::string cache_dir, uint64_t cache_max_bytes)
+                           ContentStore* store)
     : max_sessions_(max_sessions < 1 ? 1 : max_sessions),
       jobs_(jobs < 1 ? 1 : jobs),
       pool_(pool),
-      cache_dir_(std::move(cache_dir)),
-      cache_max_bytes_(cache_max_bytes) {}
+      store_(store) {}
 
 uint64_t SessionCache::key_of(const remote::CompileOptionsWire& copts) {
   // analyze is part of the key: a lint-enabled Compiler carries lint
@@ -119,14 +118,10 @@ std::shared_ptr<Session> SessionCache::acquire(
     lint_options.analyze = true;
     lint_options.verify_spmd = true;
   }
-  CacheOptions cache_options;
-  cache_options.dir = cache_dir_;
-  cache_options.max_bytes = cache_max_bytes_;
-
-  auto session = std::make_shared<Session>(options, ipa_options,
-                                           lint_options,
-                                           std::move(cache_options));
+  auto session =
+      std::make_shared<Session>(options, ipa_options, lint_options);
   if (pool_) session->compiler.set_shared_pool(pool_);
+  if (store_) session->compiler.set_shared_store(store_);
   lru_.push_front(key);
   sessions_.emplace(key, std::make_pair(session, lru_.begin()));
   ++counters_.misses;

@@ -7,9 +7,9 @@
 // holds one long-lived Compiler per distinct option set; a retained
 // Compiler keeps its CompilationCache, IpaSummaryCache, alias maps, and
 // clone sets hot across requests (the "computes 0 summaries" half).
-// Every session layers over the same on-disk ContentStore directory, so
-// a restarted daemon is still warm from disk — the session tier only
-// removes the deserialize/rehash work the disk tier cannot.
+// Every session layers over one shared ContentStore, so a restarted
+// daemon is still warm from disk — the session tier only removes the
+// deserialize/rehash work the disk tier cannot.
 //
 // Both caches are LRU-bounded: AstCache by serialized bytes, SessionCache
 // by session count. Eviction hands out shared_ptrs, so a session can be
@@ -74,17 +74,18 @@ struct Session {
   std::mutex mu;
   Compiler compiler;
   explicit Session(const CodegenOptions& o, const IpaOptions& i,
-                   const LintOptions& l, CacheOptions c)
-      : compiler(o, i, l, std::move(c)) {}
+                   const LintOptions& l)
+      : compiler(o, i, l) {}
 };
 
 /// Keyed, LRU-bounded pool of Sessions. Thread-safe.
 class SessionCache {
  public:
   /// Every created Compiler compiles with `jobs` workers drawn from the
-  /// shared `pool` (not owned) and layers over `cache_dir` when set.
+  /// shared `pool` and layers over the shared `store` when set (neither
+  /// owned).
   SessionCache(size_t max_sessions, int jobs, ThreadPool* pool,
-               std::string cache_dir, uint64_t cache_max_bytes);
+               ContentStore* store);
 
   /// The session for this option set, created on first use. The returned
   /// shared_ptr keeps the session alive across LRU eviction.
@@ -105,8 +106,7 @@ class SessionCache {
   size_t max_sessions_;
   int jobs_;
   ThreadPool* pool_;
-  std::string cache_dir_;
-  uint64_t cache_max_bytes_;
+  ContentStore* store_;
 
   mutable std::mutex mu_;
   std::list<uint64_t> lru_;  // front = most recently used

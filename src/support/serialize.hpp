@@ -23,8 +23,11 @@
 namespace fortd {
 
 /// Bump when any artifact payload layout changes; stamped (mixed with the
-/// artifact kind) into every blob header so stale caches read as misses.
-/// v2: FDCA envelope payloads are LZ-compressed (support/compress.hpp).
+/// artifact kind) into every record header so stale caches read as misses.
+/// v2: FDCA envelope payloads were LZ-compressed. The compression went
+///     with the per-artifact files: the pack (driver/compilation_db.hpp)
+///     stores payloads as written, in a file no older store wrote, so the
+///     version did not move.
 /// v3: CommEvent carries its originating SourceLoc (line, col) so cached
 ///     SPMD bodies keep source-mapped diagnostics.
 constexpr uint32_t kSerializeFormatVersion = 3;

@@ -1,27 +1,32 @@
 // The persistent content-addressed compilation database:
 //   * BinaryWriter/BinaryReader round trips and stream-failure semantics,
-//   * the LZ codec under the blob envelope,
-//   * ContentStore blob lifecycle — store/flush/load across instances,
-//     byte-exact payloads, atomic layout, LRU eviction, clear(), kind
-//     validation and traversal kinds, mark_corrupt, the inert store
-//     without a directory, and a multi-threaded soak,
+//   * the envelope's checksum,
+//   * ContentStore lifecycle — store/flush/load across instances,
+//     byte-exact payloads, the one-file layout, the rewrite policy,
+//     clear(), kind validation and traversal kinds, mark_corrupt, the
+//     inert store without a directory, and soaks of one store in four
+//     threads and of two stores on one directory,
 //   * corruption robustness — truncation, bit flips, and version skew all
-//     degrade to a silent full recompile with the corrupt counter bumped
-//     and the damaged blob quarantined,
+//     degrade to a silent recompile with the corrupt counter bumped and
+//     the damaged record dropped,
+//   * the pack under fortdc processes — two at once, a torn tail, a
+//     directory in the old per-artifact layout,
 //   * two-process recompilation — a *fresh Compiler* pointed at a
 //     populated cache directory generates 0 procedures and computes 0
 //     summaries on an unchanged program, and regenerates exactly the one
 //     edited procedure after a 1-of-N edit,
 //   * golden digest stability — two independent compiler constructions
-//     produce identical artifact digests and identical blob bytes,
+//     produce identical artifact digests and byte-identical packs,
 //   * cold-vs-warm byte identity for jobs=1 and jobs=4,
 //   * CompilerStats surviving a CompileError (the -timings analogue of
 //     last_lint_report()), and -cache-stats-json naming every tier.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <cstdlib>
 #include <set>
 #include <thread>
 
@@ -30,7 +35,6 @@
 #include "codegen/spmd_printer.hpp"
 #include "driver/compilation_db.hpp"
 #include "driver/compiler.hpp"
-#include "support/compress.hpp"
 #include "support/serialize.hpp"
 
 namespace fs = std::filesystem;
@@ -39,6 +43,12 @@ namespace fortd {
 namespace {
 
 using test::fresh_cache_dir;
+using test::pack_records;
+using test::PackRecord;
+using test::FortdcRun;
+using test::fortdc_command;
+using test::run_fortdc;
+using test::slurp_text;
 
 std::vector<uint8_t> bytes_of(std::initializer_list<int> xs) {
   std::vector<uint8_t> v;
@@ -58,16 +68,34 @@ void spit(const fs::path& path, const std::vector<uint8_t>& bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
-/// All blob files under `dir`, as "kind/hexdigest" relative paths.
-std::set<std::string> blob_listing(const std::string& dir) {
+/// The names in `dir`.
+std::set<std::string> dir_listing(const std::string& dir) {
   std::set<std::string> out;
-  for (const auto& kind_dir : fs::directory_iterator(dir)) {
-    if (!kind_dir.is_directory()) continue;
-    for (const auto& file : fs::directory_iterator(kind_dir.path()))
-      out.insert(kind_dir.path().filename().string() + "/" +
-                 file.path().filename().string());
-  }
+  for (const auto& entry : fs::directory_iterator(dir))
+    out.insert(entry.path().filename().string());
   return out;
+}
+
+/// Every record's key as "kind/digest".
+std::set<std::string> pack_keys(const std::string& dir) {
+  std::set<std::string> out;
+  for (const PackRecord& r : pack_records(dir))
+    out.insert(r.kind + "/" + std::to_string(r.digest));
+  return out;
+}
+
+/// Rewrite `<dir>/pack` through `edit`.
+template <typename Edit>
+void damage_pack(const std::string& dir, Edit edit) {
+  const fs::path pack = fs::path(dir) / "pack";
+  std::vector<uint8_t> bytes = slurp(pack);
+  edit(bytes);
+  spit(pack, bytes);
+}
+
+/// Pack bytes of one "proc" record with an `n`-byte payload.
+uint64_t proc_record_size(size_t n) {
+  return 1 + 4 + make_blob_envelope(7, 1, std::vector<uint8_t>(n, 1)).size();
 }
 
 // ---------------------------------------------------------------------------
@@ -145,59 +173,30 @@ TEST(Serialize, OverlongVarintFails) {
 }
 
 // ---------------------------------------------------------------------------
-// Compression codec
+// The envelope
 // ---------------------------------------------------------------------------
 
-TEST(Compress, RoundTripsRepetitiveAndShrinksIt) {
-  std::vector<uint8_t> raw;
-  for (int i = 0; i < 10000; ++i)
-    raw.push_back(static_cast<uint8_t>("abcdabcdabcd"[i % 12]));
-  std::vector<uint8_t> comp = compress_bytes(raw);
-  EXPECT_LT(comp.size(), raw.size() / 4)
-      << "repetitive data must compress well";
-  auto back = decompress_bytes(comp);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, raw);
-}
-
-TEST(Compress, RoundTripsIncompressibleViaStoredMode) {
-  // A deterministic pseudorandom buffer defeats the matcher; the codec
-  // must fall back to stored mode and cost only the small header.
-  std::vector<uint8_t> raw;
-  uint64_t x = 88172645463325252ull;
-  for (int i = 0; i < 4096; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    raw.push_back(static_cast<uint8_t>(x));
-  }
-  std::vector<uint8_t> comp = compress_bytes(raw);
-  EXPECT_LE(comp.size(), raw.size() + 8);
-  auto back = decompress_bytes(comp);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, raw);
-}
-
-TEST(Compress, RoundTripsEmptyAndTiny) {
-  for (size_t n : {size_t{0}, size_t{1}, size_t{3}}) {
-    std::vector<uint8_t> raw(n, 0x5a);
-    auto back = decompress_bytes(compress_bytes(raw));
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, raw);
-  }
-}
-
-TEST(Compress, EnvelopePayloadsAreCompressed) {
-  std::vector<uint8_t> payload(8192, 7);  // maximally repetitive
-  std::vector<uint8_t> blob = make_blob_envelope(1, 2, payload);
-  EXPECT_LT(blob.size(), payload.size() / 8);
-  auto back = open_blob_envelope(blob, 1, 2);
+TEST(Envelope, ChecksumCoversTheHeader) {
+  // A record is indexed by the digest in its own header, so a flipped
+  // digest must fail the checksum rather than serve the payload under
+  // another key.
+  const std::vector<uint8_t> payload = bytes_of({1, 2, 3, 4});
+  const std::vector<uint8_t> blob = make_blob_envelope(7, 42, payload);
+  auto back = open_blob_envelope(blob, 7, 42);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, payload);
+  for (size_t i = 4; i < 28; ++i) {  // format hash, digest and size fields
+    std::vector<uint8_t> bad = blob;
+    bad[i] ^= 0x01;
+    const uint64_t digest = i >= 12 && i < 20 ? 42 ^ (1ull << ((i - 12) * 8))
+                                              : 42;
+    const uint64_t format = i < 12 ? 7 ^ (1ull << ((i - 4) * 8)) : 7;
+    EXPECT_FALSE(open_blob_envelope(bad, format, digest).has_value()) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
-// ContentStore blob lifecycle
+// ContentStore lifecycle
 // ---------------------------------------------------------------------------
 
 TEST(ContentStore, PendingBlobIsVisibleBeforeFlush) {
@@ -207,7 +206,7 @@ TEST(ContentStore, PendingBlobIsVisibleBeforeFlush) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, bytes_of({1, 2, 3}));
   // Not yet on disk: the write is buffered off the hot path.
-  EXPECT_FALSE(fs::exists(fs::path(store.options().dir) / "proc"));
+  EXPECT_TRUE(pack_records(store.options().dir).empty());
 }
 
 TEST(ContentStore, FlushedBlobSurvivesIntoANewInstance) {
@@ -217,9 +216,9 @@ TEST(ContentStore, FlushedBlobSurvivesIntoANewInstance) {
     store.store("proc", 7, 42, bytes_of({9, 8, 7}));
     store.store("summary", 11, 43, bytes_of({4, 5}));
   }  // destructor flushes
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "proc" /
-                         ContentStore::hex_digest(42)));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "index"));
+  EXPECT_EQ(dir_listing(dir), std::set<std::string>{"pack"});
+  EXPECT_EQ(pack_keys(dir),
+            (std::set<std::string>{"proc/42", "summary/43"}));
 
   ContentStore reopened({dir});
   EXPECT_EQ(reopened.size(), 2u);
@@ -245,20 +244,23 @@ TEST(ContentStore, TruncatedBlobIsCorruptAndQuarantined) {
     ContentStore store({dir});
     store.store("proc", 7, 42, std::vector<uint8_t>(64, 0xab));
   }
-  fs::path blob = fs::path(dir) / "proc" / ContentStore::hex_digest(42);
-  std::vector<uint8_t> bytes = slurp(blob);
-  bytes.resize(bytes.size() / 2);
-  spit(blob, bytes);
+  const fs::path pack = fs::path(dir) / "pack";
+  fs::resize_file(pack, fs::file_size(pack) / 2);
 
   ContentStore store({dir});
   EXPECT_FALSE(store.load("proc", 7, 42).has_value());
   EXPECT_EQ(store.counters().corrupt, 1u);
   EXPECT_EQ(store.counters().misses, 1u);
-  EXPECT_FALSE(fs::exists(blob)) << "corrupt blob must be quarantined";
-  // The slot accepts a clean rewrite.
+  EXPECT_EQ(store.size(), 0u) << "a torn record is never indexed";
+  // The rewrite a torn pack forces makes the key warm again.
   store.store("proc", 7, 42, bytes_of({1}));
   store.flush();
-  EXPECT_TRUE(fs::exists(blob));
+  ContentStore reopened({dir});
+  auto got = reopened.load("proc", 7, 42);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, bytes_of({1}));
+  EXPECT_EQ(reopened.counters().corrupt, 0u);
+  EXPECT_EQ(dir_listing(dir), std::set<std::string>{"pack"});
 }
 
 TEST(ContentStore, BitFlippedPayloadFailsTheChecksum) {
@@ -267,20 +269,30 @@ TEST(ContentStore, BitFlippedPayloadFailsTheChecksum) {
     ContentStore store({dir});
     store.store("proc", 7, 42, std::vector<uint8_t>(64, 0xab));
   }
-  fs::path blob = fs::path(dir) / "proc" / ContentStore::hex_digest(42);
-  std::vector<uint8_t> bytes = slurp(blob);
-  bytes[bytes.size() / 2] ^= 0x01;  // one bit, somewhere in the payload
-  spit(blob, bytes);
+  const std::vector<PackRecord> records = pack_records(dir);
+  ASSERT_EQ(records.size(), 1u);
+  damage_pack(dir, [&](std::vector<uint8_t>& bytes) {
+    // One bit, somewhere in the payload.
+    bytes[records[0].offset + records[0].size / 2] ^= 0x01;
+  });
 
   ContentStore store({dir});
+  EXPECT_EQ(store.size(), 1u);
   EXPECT_FALSE(store.load("proc", 7, 42).has_value());
   EXPECT_EQ(store.counters().corrupt, 1u);
-  EXPECT_FALSE(fs::exists(blob));
+  EXPECT_EQ(store.size(), 0u) << "a corrupt record leaves the index";
+  store.store("proc", 7, 42, bytes_of({2}));
+  store.flush();
+  ContentStore reopened({dir});
+  auto got = reopened.load("proc", 7, 42);
+  ASSERT_TRUE(got.has_value()) << "the later record wins";
+  EXPECT_EQ(*got, bytes_of({2}));
 }
 
 TEST(ContentStore, FormatHashSkewReadsAsCorruption) {
-  // A blob written by an older codec version carries a different format
-  // hash; loading it under the current hash must quarantine, not decode.
+  // A record written by an older codec version carries a different format
+  // hash; loading it under the current hash must count corruption, not
+  // decode.
   std::string dir = fresh_cache_dir("skew");
   {
     ContentStore store({dir});
@@ -289,19 +301,15 @@ TEST(ContentStore, FormatHashSkewReadsAsCorruption) {
   ContentStore store({dir});
   EXPECT_FALSE(store.load("proc", /*format_hash=*/8, 42).has_value());
   EXPECT_EQ(store.counters().corrupt, 1u);
-  EXPECT_FALSE(
-      fs::exists(fs::path(dir) / "proc" / ContentStore::hex_digest(42)));
+  EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(ContentStore, LruEvictionKeepsTheMostRecentlyUsed) {
   std::string dir = fresh_cache_dir("lru");
   CacheOptions opt{dir};
-  // Three same-shaped blobs; bound the store to two of them. The on-disk
-  // blob size is exactly the envelope size (compression included), so
-  // measure it instead of hard-coding codec arithmetic.
-  const uint64_t blob_size =
-      make_blob_envelope(7, 1, std::vector<uint8_t>(100, 1)).size();
-  opt.max_bytes = 2 * blob_size + blob_size / 2;
+  // Three same-shaped records; bound the pack to two of them.
+  const uint64_t record_size = proc_record_size(100);
+  opt.max_bytes = 2 * record_size + record_size / 2;
   ContentStore store(opt);
   store.store("proc", 7, 1, std::vector<uint8_t>(100, 1));
   store.store("proc", 7, 2, std::vector<uint8_t>(100, 2));
@@ -313,33 +321,34 @@ TEST(ContentStore, LruEvictionKeepsTheMostRecentlyUsed) {
   store.store("proc", 7, 3, std::vector<uint8_t>(100, 3));
   store.flush();
   EXPECT_EQ(store.counters().evictions, 1u);
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "proc" / ContentStore::hex_digest(1)));
-  EXPECT_FALSE(
-      fs::exists(fs::path(dir) / "proc" / ContentStore::hex_digest(2)));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "proc" / ContentStore::hex_digest(3)));
+  EXPECT_EQ(pack_keys(dir), (std::set<std::string>{"proc/1", "proc/3"}));
+  EXPECT_LE(fs::file_size(fs::path(dir) / "pack"), opt.max_bytes);
+  EXPECT_TRUE(store.load("proc", 7, 1).has_value());
+  EXPECT_FALSE(store.load("proc", 7, 2).has_value());
 }
 
-TEST(ContentStore, LruTicksSurviveReopen) {
+TEST(ContentStore, ReopenedStoreEvictsWhatItDidNotUse) {
+  // Recency lives in the store, not in the pack: a second store knows only
+  // what it loaded or stored itself.
   std::string dir = fresh_cache_dir("lru_reopen");
   {
     ContentStore store({dir});
     store.store("proc", 7, 1, std::vector<uint8_t>(100, 1));
     store.store("proc", 7, 2, std::vector<uint8_t>(100, 2));
     store.flush();
-    EXPECT_TRUE(store.load("proc", 7, 1).has_value());  // 1 is now newest
+    EXPECT_TRUE(store.load("proc", 7, 2).has_value());  // 2 is newest here
   }
   CacheOptions opt{dir};
-  const uint64_t blob_size =
-      make_blob_envelope(7, 1, std::vector<uint8_t>(100, 1)).size();
-  opt.max_bytes = blob_size + blob_size / 2;  // room for one blob only
+  const uint64_t record_size = proc_record_size(100);
+  opt.max_bytes = 2 * record_size + record_size / 2;
   ContentStore store(opt);
+  EXPECT_TRUE(store.load("proc", 7, 1).has_value());
   store.store("proc", 7, 3, std::vector<uint8_t>(100, 3));
   store.flush();
-  // 2 (oldest tick, recorded in the index file) went first, then 1.
-  EXPECT_EQ(store.counters().evictions, 2u);
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "proc" / ContentStore::hex_digest(3)));
-  EXPECT_FALSE(
-      fs::exists(fs::path(dir) / "proc" / ContentStore::hex_digest(2)));
+  // 1 and 3 were used here and fit; 2 was not, and max_bytes/2 leaves no
+  // room for it.
+  EXPECT_EQ(store.counters().evictions, 1u);
+  EXPECT_EQ(pack_keys(dir), (std::set<std::string>{"proc/1", "proc/3"}));
 }
 
 TEST(ContentStore, ValidatesKinds) {
@@ -360,7 +369,8 @@ TEST(ContentStore, ValidatesKinds) {
   store.flush();
   EXPECT_FALSE(store.load("../up", 11, 7).has_value());
   EXPECT_FALSE(fs::exists(fs::path(dir).parent_path() / "up"));
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "bad"));
+  EXPECT_EQ(dir_listing(dir), std::set<std::string>{"pack"});
+  EXPECT_TRUE(pack_records(dir).empty());
   EXPECT_EQ(store.counters().writes, 0u) << "hostile kinds are dropped writes";
 }
 
@@ -373,25 +383,34 @@ TEST(ContentStore, ClearEmptiesTheStore) {
   EXPECT_EQ(store.size(), 2u);
   store.clear();
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "index"));
+  EXPECT_TRUE(pack_records(dir).empty());
   EXPECT_FALSE(store.load("proc", 7, 1).has_value());
+  EXPECT_EQ(dir_listing(dir), std::set<std::string>{"pack"});
 }
 
 TEST(ContentStore, ForeignFilesInTheDirectoryAreIgnored) {
+  // The per-artifact layout this store replaced (<kind>/<hex digest>
+  // files and a text index) included: nothing reads or removes it.
   std::string dir = fresh_cache_dir("foreign");
   fs::create_directories(fs::path(dir) / "proc");
-  spit(fs::path(dir) / "proc" / "not-a-digest", bytes_of({1, 2}));
+  spit(fs::path(dir) / "proc" / "000000000000002a",
+       make_blob_envelope(7, 42, bytes_of({1, 2})));
+  spit(fs::path(dir) / "index", bytes_of({'f', 'o', 'r', 't', 'd'}));
   spit(fs::path(dir) / "README", bytes_of({3}));
   ContentStore store({dir});
   EXPECT_EQ(store.size(), 0u);
+  EXPECT_FALSE(store.load("proc", 7, 42).has_value());
   store.store("proc", 7, 1, bytes_of({9}));
   store.flush();
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "proc" / "not-a-digest"));
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "proc" / "000000000000002a"));
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "index"));
+  EXPECT_EQ(pack_keys(dir), std::set<std::string>{"proc/1"});
+  EXPECT_EQ(store.counters().corrupt, 0u);
 }
 
 TEST(ContentStore, StoreThenLoadRoundTripsEveryByteValueExactly) {
-  // Payloads are opaque bytes: every byte value, a run the compressor
-  // shrinks and noise it cannot all survive the envelope and a reopen.
+  // Payloads are opaque bytes: every byte value, a long run and noise all
+  // survive the envelope and a reopen.
   std::vector<uint8_t> payload;
   for (int i = 0; i < 256; ++i) payload.push_back(static_cast<uint8_t>(i));
   payload.insert(payload.end(), 500, 0x3c);
@@ -414,12 +433,12 @@ TEST(ContentStore, StoreThenLoadRoundTripsEveryByteValueExactly) {
 }
 
 TEST(ContentStore, TraversalKindsNeverTouchTheFilesystem) {
-  // A kind becomes a path component, so no store, load or quarantine may
-  // follow a hostile one out of the cache directory. A blob-named decoy
-  // beside the directory must survive a mark_corrupt aimed at it.
+  // No store, load or mark_corrupt may follow a hostile kind out of the
+  // cache directory: a digest-named decoy beside it must survive a
+  // mark_corrupt aimed at it.
   const fs::path root = fresh_cache_dir("traversal");
   const std::string dir = (root / "store").string();
-  const fs::path decoy = root / ContentStore::hex_digest(42);
+  const fs::path decoy = root / "000000000000002a";
   spit(decoy, bytes_of({7}));
 
   ContentStore store({dir});
@@ -431,9 +450,9 @@ TEST(ContentStore, TraversalKindsNeverTouchTheFilesystem) {
     store.mark_corrupt(kind, 42);
   }
   store.flush();
-  EXPECT_TRUE(fs::exists(decoy)) << "a quarantine followed a traversal kind";
+  EXPECT_TRUE(fs::exists(decoy)) << "a mark_corrupt followed a traversal kind";
   EXPECT_FALSE(fs::exists(root / "escaped"));
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "a"));
+  EXPECT_EQ(dir_listing(dir), std::set<std::string>{"pack"});
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.counters().writes, 0u);
   EXPECT_EQ(store.counters().corrupt, 0u);
@@ -442,27 +461,30 @@ TEST(ContentStore, TraversalKindsNeverTouchTheFilesystem) {
 
 TEST(ContentStore, MarkCorruptQuarantinesAFlushedBlob) {
   // A payload the artifact codec cannot decode is reported from above the
-  // envelope; its slot must go exactly as a failed checksum's would, and
-  // its neighbours must stay.
+  // envelope; its record must go exactly as a failed checksum's would,
+  // and its neighbours must stay.
   const std::string dir = fresh_cache_dir("mark_corrupt");
   ContentStore store({dir});
   store.store("proc", 7, 42, bytes_of({1, 2, 3}));
   store.store("proc", 7, 43, bytes_of({4}));
   store.flush();
-  const fs::path blob = fs::path(dir) / "proc" / ContentStore::hex_digest(42);
-  ASSERT_TRUE(fs::exists(blob));
+  ASSERT_EQ(pack_keys(dir), (std::set<std::string>{"proc/42", "proc/43"}));
 
   store.mark_corrupt("proc", 42);
-  EXPECT_FALSE(fs::exists(blob));
   EXPECT_EQ(store.counters().corrupt, 1u);
   EXPECT_EQ(store.size(), 1u);
   EXPECT_FALSE(store.load("proc", 7, 42).has_value());
   EXPECT_TRUE(store.load("proc", 7, 43).has_value());
+  // The compiler answers a corrupt artifact by storing it afresh; the new
+  // record wins over the old one in every store opened later.
+  store.store("proc", 7, 42, bytes_of({5, 6}));
   store.flush();
 
   ContentStore reopened({dir});
-  EXPECT_EQ(reopened.size(), 1u);
-  EXPECT_FALSE(reopened.load("proc", 7, 42).has_value());
+  EXPECT_EQ(reopened.size(), 2u);
+  auto got = reopened.load("proc", 7, 42);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, bytes_of({5, 6}));
 }
 
 TEST(ContentStore, MarkCorruptDropsAPendingWrite) {
@@ -473,14 +495,13 @@ TEST(ContentStore, MarkCorruptDropsAPendingWrite) {
   EXPECT_FALSE(store.load("summary", 9, 5).has_value());
   store.flush();
   EXPECT_EQ(store.counters().writes, 0u);
-  EXPECT_FALSE(
-      fs::exists(fs::path(dir) / "summary" / ContentStore::hex_digest(5)));
+  EXPECT_TRUE(pack_records(dir).empty());
   EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(ContentStore, SameDigestUnderTwoKindsAreDistinctArtifacts) {
   // Keys are (kind, digest): a procedure and a summary that share a
-  // digest must never read, or quarantine, each other's payload.
+  // digest must never read, or drop, each other's payload.
   const std::string dir = fresh_cache_dir("two_kinds");
   {
     ContentStore store({dir});
@@ -511,13 +532,13 @@ TEST(ContentStore, ZeroMaxBytesNeverEvicts) {
   store.flush();
   EXPECT_EQ(store.counters().writes, 40u);
   EXPECT_EQ(store.counters().evictions, 0u);
-  EXPECT_EQ(blob_listing(dir).size(), 40u);
+  EXPECT_EQ(pack_records(dir).size(), 40u);
 }
 
 TEST(ContentStore, EmptyDirectoryMakesTheStoreInert) {
   // Without -cache-dir the memory tiers run alone. The store takes every
-  // call and neither keeps nor writes anything: with an empty directory a
-  // blob path would start at the filesystem root.
+  // call and neither keeps nor writes anything: with an empty directory
+  // the pack path would start at the filesystem root.
   ContentStore store(CacheOptions{});
   store.store("proc", 7, 42, bytes_of({1}));
   EXPECT_FALSE(store.load("proc", 7, 42).has_value());
@@ -529,6 +550,13 @@ TEST(ContentStore, EmptyDirectoryMakesTheStoreInert) {
   EXPECT_EQ(c.hits + c.misses + c.writes + c.evictions + c.corrupt, 0u);
 }
 
+std::vector<uint8_t> soak_payload(uint64_t digest) {
+  std::vector<uint8_t> p(64 + digest % 512);
+  for (size_t i = 0; i < p.size(); ++i)
+    p[i] = static_cast<uint8_t>(digest * 31 + i * 7);
+  return p;
+}
+
 TEST(ContentStoreSoak, ConcurrentThreadsMixLoadsAndStoresByteIdentically) {
   // Compile workers load and store artifacts from concurrent task-graph
   // nodes. Four threads interleave private writes, read-backs, shared
@@ -537,12 +565,6 @@ TEST(ContentStoreSoak, ConcurrentThreadsMixLoadsAndStoresByteIdentically) {
   constexpr int kThreads = 4;
   constexpr int kOps = 40;
   constexpr uint64_t kFormat = 11;
-  const auto payload_for = [](uint64_t digest) {
-    std::vector<uint8_t> p(64 + digest % 512);
-    for (size_t i = 0; i < p.size(); ++i)
-      p[i] = static_cast<uint8_t>(digest * 31 + i * 7);
-    return p;
-  };
   const auto private_digest = [](int t, int i) {
     return 1000 + static_cast<uint64_t>(t) * 100 + static_cast<uint64_t>(i);
   };
@@ -551,7 +573,7 @@ TEST(ContentStoreSoak, ConcurrentThreadsMixLoadsAndStoresByteIdentically) {
   {
     ContentStore seeder({dir});
     for (uint64_t d = 1; d <= 8; ++d)
-      seeder.store("proc", kFormat, d, payload_for(d));
+      seeder.store("proc", kFormat, d, soak_payload(d));
   }
   ContentStore store({dir});
   std::vector<int> failures(kThreads, 0);
@@ -560,12 +582,12 @@ TEST(ContentStoreSoak, ConcurrentThreadsMixLoadsAndStoresByteIdentically) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kOps; ++i) {
         const uint64_t mine = private_digest(t, i);
-        store.store("summary", kFormat, mine, payload_for(mine));
+        store.store("summary", kFormat, mine, soak_payload(mine));
         auto got = store.load("summary", kFormat, mine);
-        if (!got || *got != payload_for(mine)) ++failures[t];
+        if (!got || *got != soak_payload(mine)) ++failures[t];
         const uint64_t shared = 1 + static_cast<uint64_t>(i) % 8;
         auto s = store.load("proc", kFormat, shared);
-        if (!s || *s != payload_for(shared)) ++failures[t];
+        if (!s || *s != soak_payload(shared)) ++failures[t];
         if (i % 10 == t) store.flush();
       }
     });
@@ -586,8 +608,59 @@ TEST(ContentStoreSoak, ConcurrentThreadsMixLoadsAndStoresByteIdentically) {
     for (int i = 0; i < kOps; ++i) {
       auto got = reopened.load("summary", kFormat, private_digest(t, i));
       ASSERT_TRUE(got.has_value()) << t << "/" << i;
-      EXPECT_EQ(*got, payload_for(private_digest(t, i)));
+      EXPECT_EQ(*got, soak_payload(private_digest(t, i)));
     }
+}
+
+TEST(ContentStoreSoak, TwoStoresOnOneDirectoryShareOnePack) {
+  // Two stores on one directory stand for two compiler processes. Each
+  // thread stores the same keys, loads keys the other may not have
+  // flushed yet, and flushes; a small bound makes rewrites race the
+  // appends. A load returns the exact bytes or a miss, and a store opened
+  // afterwards loads every key that survived, exactly.
+  constexpr uint64_t kKeys = 60;
+  constexpr uint64_t kFormat = 11;
+  for (const uint64_t max_bytes : {uint64_t{0}, uint64_t{4} << 10}) {
+    SCOPED_TRACE(max_bytes);
+    const std::string dir =
+        fresh_cache_dir("two_stores_" + std::to_string(max_bytes));
+    std::atomic<int> wrong{0};
+    std::atomic<uint64_t> evictions{0};
+    const auto worker = [&](uint64_t t) {
+      ContentStore store({dir, max_bytes});
+      for (uint64_t i = 0; i < kKeys; ++i) {
+        store.store("proc", kFormat, i, soak_payload(i));
+        const uint64_t probe = (i * 7 + t * 13) % kKeys;
+        auto got = store.load("proc", kFormat, probe);
+        if (got && *got != soak_payload(probe)) ++wrong;
+        if (i % 4 == t) store.flush();
+      }
+      store.flush();
+      evictions += store.counters().evictions;
+    };
+    std::thread a(worker, 0), b(worker, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(wrong.load(), 0);
+
+    ContentStore third({dir});
+    EXPECT_EQ(third.counters().corrupt, 0u);
+    size_t loaded = 0;
+    for (uint64_t i = 0; i < kKeys; ++i)
+      if (auto got = third.load("proc", kFormat, i)) {
+        EXPECT_EQ(*got, soak_payload(i)) << i;
+        ++loaded;
+      }
+    EXPECT_EQ(third.counters().corrupt, 0u);
+    if (max_bytes == 0) {
+      EXPECT_EQ(loaded, kKeys);
+      EXPECT_EQ(evictions.load(), 0u);
+    } else {
+      EXPECT_GT(loaded, 0u);
+      EXPECT_GT(evictions.load(), 0u) << "the bound forced rewrites";
+    }
+    EXPECT_EQ(dir_listing(dir), std::set<std::string>{"pack"});
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -678,21 +751,18 @@ TEST(TwoProcessRecompilation, WarmDiskOutputMatchesColdAcrossWorkloads) {
 
 TEST(GoldenDigests, TwoCompilerConstructionsProduceIdenticalArtifacts) {
   // Any nondeterminism in procedure_digest / hash_procedure (pointer
-  // hashing, unordered iteration, uninitialized fields) would show up as
-  // differing blob names or bytes between two independent compilations
-  // into two separate directories.
+  // hashing, unordered iteration, uninitialized fields) or in the order a
+  // flush appends records would show up as differing packs between two
+  // independent compilations into two separate directories.
   const std::string src = bench::fan_out(8, 64);
   std::string dir_a = fresh_cache_dir("golden_a");
   std::string dir_b = fresh_cache_dir("golden_b");
   compile_with_dir(src, dir_a, /*jobs=*/1);
   compile_with_dir(src, dir_b, /*jobs=*/4);
 
-  std::set<std::string> blobs_a = blob_listing(dir_a);
-  EXPECT_EQ(blobs_a, blob_listing(dir_b));
-  EXPECT_GE(blobs_a.size(), 18u);  // 9 proc + 9 summary artifacts
-  for (const std::string& rel : blobs_a)
-    EXPECT_EQ(slurp(fs::path(dir_a) / rel), slurp(fs::path(dir_b) / rel))
-        << rel;
+  EXPECT_EQ(pack_keys(dir_a), pack_keys(dir_b));
+  EXPECT_GE(pack_records(dir_a).size(), 18u);  // 9 proc + 9 summary records
+  EXPECT_EQ(slurp(fs::path(dir_a) / "pack"), slurp(fs::path(dir_b) / "pack"));
 }
 
 // ---------------------------------------------------------------------------
@@ -704,19 +774,22 @@ TEST(CompilerCorruption, DamagedDatabaseMeansSilentFullRecompile) {
   std::string dir = fresh_cache_dir("damage");
   CompileResult a = compile_with_dir(src, dir);
 
-  // Damage every blob a different way: truncation, payload bit flip, and
-  // format-hash skew (a byte of the header's format-hash field).
-  int i = 0;
-  for (const std::string& rel : blob_listing(dir)) {
-    fs::path blob = fs::path(dir) / rel;
-    std::vector<uint8_t> bytes = slurp(blob);
-    switch (i++ % 3) {
-      case 0: bytes.resize(bytes.size() / 2); break;
-      case 1: bytes[bytes.size() - 1] ^= 0x40; break;
-      case 2: bytes[5] ^= 0x40; break;
+  // Damage every record: alternately a payload bit flip and format-hash
+  // skew (a byte of the header's format-hash field), then cut the last
+  // record short.
+  const std::vector<PackRecord> records = pack_records(dir);
+  ASSERT_EQ(records.size(), 18u);
+  damage_pack(dir, [&](std::vector<uint8_t>& bytes) {
+    for (size_t i = 0; i < records.size(); ++i) {
+      const PackRecord& r = records[i];
+      const size_t env = r.offset + 1 + r.kind.size();
+      if (i % 2)
+        bytes[env + 5] ^= 0x40;
+      else
+        bytes[r.offset + r.size - 9] ^= 0x40;
     }
-    spit(blob, bytes);
-  }
+    bytes.resize(bytes.size() - records.back().size / 2);
+  });
 
   CompileResult b = compile_with_dir(src, dir);
   EXPECT_EQ(b.stats.generated, 9) << "full recompile";
@@ -724,12 +797,51 @@ TEST(CompilerCorruption, DamagedDatabaseMeansSilentFullRecompile) {
   EXPECT_GT(b.stats.disk_corrupt, 0);
   EXPECT_EQ(print_spmd(b.spmd), print_spmd(a.spmd));
 
-  // The quarantined slots were rewritten cleanly: a third fresh Compiler
-  // is fully warm again.
+  // The torn tail forced a rewrite that dropped every damaged record: a
+  // third fresh Compiler is fully warm again.
+  EXPECT_EQ(pack_records(dir).size(), 18u);
   CompileResult c = compile_with_dir(src, dir);
   EXPECT_EQ(c.stats.generated, 0);
   EXPECT_EQ(c.stats.summaries_computed, 0);
   EXPECT_EQ(c.stats.disk_corrupt, 0);
+}
+
+TEST(PackRewrite, HeadroomLetsTheNextCompileAppend) {
+  // A compile that overflows max_bytes rewrites the pack, keeping what it
+  // used within max_bytes and the rest within max_bytes/2; the next
+  // compile then appends without evicting anything.
+  const std::string big = bench::fan_out(64, 64);
+  const std::string mid = bench::dgefa(16);
+  const std::string small = bench::fig15(64, 4);
+  const auto pack_size = [](const std::string& src, const std::string& tag) {
+    const std::string dir = fresh_cache_dir("headroom_" + tag);
+    compile_with_dir(src, dir);
+    return fs::file_size(fs::path(dir) / "pack");
+  };
+  const uint64_t a = pack_size(big, "a");
+  const uint64_t b = pack_size(mid, "b");
+  const uint64_t c = pack_size(small, "c");
+  const uint64_t max_bytes = a + b - 1;  // the second compile overflows
+  ASSERT_LE(std::max(b, c), max_bytes / 2);
+
+  const std::string dir = fresh_cache_dir("headroom");
+  const auto compile = [&](const std::string& src) {
+    CodegenOptions opt;
+    opt.n_procs = 4;
+    Compiler compiler(opt, {}, {}, CacheOptions{dir, max_bytes});
+    return compiler.compile_source(src).stats;
+  };
+  EXPECT_EQ(compile(big).disk_evictions, 0);  // an empty pack takes it all
+  EXPECT_GT(compile(mid).disk_evictions, 0);  // overflow: a rewrite
+  const uint64_t after_rewrite = fs::file_size(fs::path(dir) / "pack");
+  EXPECT_LE(after_rewrite, max_bytes / 2);
+  const size_t records = pack_records(dir).size();
+
+  const CompilerStats third = compile(small);
+  EXPECT_EQ(third.disk_evictions, 0);
+  EXPECT_GT(pack_records(dir).size(), records) << "appended";
+  EXPECT_EQ(fs::file_size(fs::path(dir) / "pack"), after_rewrite + c);
+  EXPECT_EQ(compile(mid).generated, 0) << "what the rewrite kept is warm";
 }
 
 TEST(CompilerCorruption, RoundTripsCachedProcedureThroughTheCodec) {
@@ -738,6 +850,98 @@ TEST(CompilerCorruption, RoundTripsCachedProcedureThroughTheCodec) {
   EXPECT_FALSE(deserialize_cached_procedure({}).has_value());
   EXPECT_FALSE(
       deserialize_cached_procedure(std::vector<uint8_t>(64, 0xfe)).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// The pack under fortdc processes
+// ---------------------------------------------------------------------------
+
+/// "G/P generated" and "summaries C computed" of a -timings report.
+std::string recompiled(const std::string& err) {
+  const size_t g = err.find(" generated)");
+  const size_t gs = err.rfind(", ", g);
+  const size_t c = err.find(" computed /");
+  const size_t cs = err.rfind("summaries ", c);
+  if (g == std::string::npos || c == std::string::npos) return err;
+  return err.substr(gs + 2, g - gs - 2) + " generated, " +
+         err.substr(cs + 10, c - cs - 10) + " computed";
+}
+
+TEST(FortdcCacheDir, TwoProcessesAtOnceKeepBothPrograms) {
+  const fs::path work = fresh_cache_dir("fortdc_two_at_once");
+  const std::string dir = (work / "cache").string();
+  const std::string a = bench::fan_out(96, 64), b = bench::chain_fanout(4, 24, 64);
+  const FortdcRun cold_a = run_fortdc(work, "cold_a", a, "-p 4");
+  const FortdcRun cold_b = run_fortdc(work, "cold_b", b, "-p 4");
+  const std::string args = "-p 4 -cache-dir " + dir;
+  const std::string both = "(" + fortdc_command(work, "a", a, args) + ") & (" +
+                           fortdc_command(work, "b", b, args) + ") & wait";
+  ASSERT_EQ(std::system(both.c_str()), 0);
+  EXPECT_EQ(slurp_text(work / "a.out"), cold_a.out);
+  EXPECT_EQ(slurp_text(work / "b.out"), cold_b.out);
+
+  const FortdcRun warm_a = run_fortdc(work, "warm_a", a, args + " -timings");
+  const FortdcRun warm_b = run_fortdc(work, "warm_b", b, args + " -timings");
+  EXPECT_EQ(recompiled(warm_a.err), "0/97 generated, 0 computed");
+  EXPECT_EQ(warm_a.out, cold_a.out);
+  EXPECT_EQ(warm_b.out, cold_b.out);
+  EXPECT_EQ(recompiled(warm_b.err).substr(0, 2), "0/") << warm_b.err;
+  EXPECT_NE(warm_b.err.find("summaries 0 computed"), std::string::npos)
+      << warm_b.err;
+  EXPECT_EQ(dir_listing(dir), std::set<std::string>{"pack"});
+}
+
+TEST(FortdcCacheDir, TornTailRecompilesOnlyWhatWasLost) {
+  const fs::path work = fresh_cache_dir("fortdc_torn");
+  const std::string dir = (work / "cache").string();
+  const std::string src = bench::fan_out(8, 64);
+  const std::string args = "-p 4 -timings -cache-dir " + dir;
+  const FortdcRun cold = run_fortdc(work, "cold", src, args);
+  ASSERT_EQ(cold.exit_code, 0) << cold.err;
+  EXPECT_EQ(recompiled(cold.err), "9/9 generated, 9 computed");
+
+  // Cut the last record short, as a compile killed mid-append would.
+  const std::vector<PackRecord> records = pack_records(dir);
+  ASSERT_EQ(records.back().kind, "summary");
+  fs::resize_file(fs::path(dir) / "pack",
+                  records.back().offset + records.back().size - 3);
+
+  const FortdcRun torn = run_fortdc(work, "torn", src, args);
+  EXPECT_EQ(torn.exit_code, 0) << torn.err;
+  EXPECT_EQ(torn.out, cold.out);
+  EXPECT_EQ(recompiled(torn.err), "0/9 generated, 1 computed");
+  const FortdcRun warm = run_fortdc(work, "warm", src, args);
+  EXPECT_EQ(warm.out, cold.out);
+  EXPECT_EQ(recompiled(warm.err), "0/9 generated, 0 computed");
+  EXPECT_EQ(pack_records(dir).size(), records.size());
+}
+
+TEST(FortdcCacheDir, OldLayoutIsIgnoredWithoutError) {
+  // A directory the per-artifact store wrote: <kind>/<hex digest> files
+  // and a text index of LRU ticks. The pack store neither reads nor
+  // removes them.
+  const fs::path work = fresh_cache_dir("fortdc_old_layout");
+  const fs::path dir = work / "cache";
+  fs::create_directories(dir / "proc");
+  fs::create_directories(dir / "summary");
+  spit(dir / "proc" / "0123456789abcdef", bytes_of({'F', 'D', 'C', 'A', 1}));
+  spit(dir / "summary" / "0123456789abcdef.tmp", bytes_of({2}));
+  const std::string index = "fortd-cache-index 1 3\nproc 0123456789abcdef 5 2\n";
+  spit(dir / "index", std::vector<uint8_t>(index.begin(), index.end()));
+
+  const std::string src = bench::fan_out(8, 64);
+  const std::string args = "-p 4 -timings -cache-dir " + dir.string();
+  const FortdcRun plain = run_fortdc(work, "plain", src, "-p 4");
+  const FortdcRun cold = run_fortdc(work, "cold", src, args);
+  EXPECT_EQ(cold.exit_code, 0) << cold.err;
+  EXPECT_EQ(cold.out, plain.out);
+  EXPECT_NE(cold.err.find("0 corrupt"), std::string::npos) << cold.err;
+  const FortdcRun warm = run_fortdc(work, "warm", src, args);
+  EXPECT_EQ(warm.out, plain.out);
+  EXPECT_EQ(recompiled(warm.err), "0/9 generated, 0 computed");
+  EXPECT_EQ(dir_listing(dir.string()),
+            (std::set<std::string>{"index", "pack", "proc", "summary"}));
+  EXPECT_EQ(slurp_text(dir / "index"), index);
 }
 
 // ---------------------------------------------------------------------------

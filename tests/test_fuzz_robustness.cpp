@@ -1,6 +1,6 @@
 // Seeded-PRNG fuzz of every decoder that consumes untrusted bytes:
-// BinaryReader, the FDCA blob envelope, the LZ decompressor, the frame
-// decoder, and the wire-protocol message codec. The contract under fuzz
+// BinaryReader, the FDCA blob envelope, the frame decoder, and the
+// wire-protocol message codec. The contract under fuzz
 // is uniform — return nullopt / fail-bit, never throw, never hang, never
 // over-allocate — and mutated valid inputs must never decode to the
 // *wrong* payload (checksums catch the flip or the decode fails).
@@ -14,7 +14,6 @@
 #include "driver/compilation_db.hpp"
 #include "net/frame.hpp"
 #include "remote/protocol.hpp"
-#include "support/compress.hpp"
 #include "support/serialize.hpp"
 
 namespace fortd {
@@ -98,33 +97,15 @@ TEST(FuzzRobustness, MutatedEnvelopesNeverDecodeWrong) {
       ++rejected;
     } else {
       // The only mutations an envelope may survive are ones its checksum
-      // cannot see — and there are none: every byte is covered by magic,
-      // fixed-width sizes, or the payload checksum, except a flip inside
-      // the 8-byte trailer itself, which must also reject. So a surviving
-      // decode must return the exact original payload.
+      // cannot see — and there are none: the checksum covers every byte
+      // before it, and a flip inside the 8-byte trailer itself must also
+      // reject. So a surviving decode must return the exact original
+      // payload.
       ++survived;
       EXPECT_EQ(*got, *expect) << "iteration " << iter;
     }
   }
   EXPECT_GT(rejected, 1000) << "mutations should overwhelmingly be caught";
-}
-
-TEST(FuzzRobustness, DecompressorIsTotalOnGarbage) {
-  std::mt19937_64 rng(0xf0024);
-  for (int iter = 0; iter < 2000; ++iter) {
-    std::vector<uint8_t> bytes = random_bytes(rng, rng() % 300);
-    (void)decompress_bytes(bytes);
-  }
-  // Mutated *valid* streams: reject or round-trip, never misdecode into
-  // an unbounded allocation (the declared raw size caps the output).
-  for (int iter = 0; iter < 1000; ++iter) {
-    std::vector<uint8_t> raw = random_bytes(rng, rng() % 400);
-    std::vector<uint8_t> bad = mutate(rng, compress_bytes(raw));
-    auto got = decompress_bytes(bad);
-    if (got.has_value()) {
-      EXPECT_LE(got->size(), raw.size() + 400) << "iteration " << iter;
-    }
-  }
 }
 
 TEST(FuzzRobustness, FrameDecoderSurvivesRandomChunkSplits) {

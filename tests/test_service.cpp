@@ -6,7 +6,6 @@
 // misbehaves in every way it can, fortdc -server end to end, and the
 // concurrent-batch ThreadPool contract the shared-pool design rests on.
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
 #include <algorithm>
 #include <atomic>
@@ -16,6 +15,7 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <random>
 #include <regex>
@@ -801,6 +801,38 @@ TEST_P(ServiceCacheDir, DaemonBuildWarmsALocalCompile) {
 
 INSTANTIATE_TEST_SUITE_P(Jobs, ServiceCacheDir, ::testing::Values(1, 4));
 
+TEST(CompileService, SessionsShareOneStore) {
+  // A summary is keyed by hash_procedure alone, so no option changes it:
+  // a session must find the summaries another session stored, even when
+  // it opened before they were written, and never append them again.
+  const std::string dir = fresh_cache_dir("shared_store");
+  const std::string first = bench::dgefa(16);
+  const std::string src = bench::fan_out(8, 64);
+  {
+    service::ServiceOptions sopt;
+    sopt.cache_dir = dir;
+    TestService ts("shared_store", sopt);
+    auto client = ts.client();
+    std::string reason;
+    ASSERT_TRUE(client.compile(first, wire_options(2), &reason)) << reason;
+    auto at4 = client.compile(src, wire_options(4), &reason);
+    ASSERT_TRUE(at4) << reason;
+    EXPECT_EQ(at4->summaries_computed, 9u);
+    auto at2 = client.compile(src, wire_options(2), &reason);
+    ASSERT_TRUE(at2) << reason;
+    EXPECT_EQ(at2->summaries_computed, 0u);
+    EXPECT_EQ(at2->spmd, local_spmd(src, 2));
+    ts.svc->drain();
+    ts.svc->stop();
+  }
+  std::map<uint64_t, int> summaries;
+  for (const test::PackRecord& r : test::pack_records(dir))
+    if (r.kind == "summary") ++summaries[r.digest];
+  EXPECT_GE(summaries.size(), 9u);
+  for (const auto& [digest, records] : summaries)
+    EXPECT_EQ(records, 1) << digest;
+}
+
 // ---------------------------------------------------------------------------
 // Failure semantics
 // ---------------------------------------------------------------------------
@@ -1405,36 +1437,13 @@ INSTANTIATE_TEST_SUITE_P(Jobs, ServiceSoak, ::testing::Values(1, 4));
 // fortdc -server end to end (the CLI as a process)
 // ---------------------------------------------------------------------------
 
-struct FortdcRun {
-  int exit_code = -1;  // -1: died on a signal
-  std::string out;
-  std::string err;
-};
+using test::FortdcRun;
 
-std::string slurp_text(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-/// Run fortdc with `args` on `source`, capturing its exit code, stdout
-/// and stderr.
+/// Run fortdc with `args` on `source` in a fresh directory.
 FortdcRun run_fortdc(const std::string& tag, const std::string& args,
                      const std::string& source) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fresh_cache_dir("fortdc_" + tag);
-  std::ofstream(dir / "in.fd") << source;
-  const std::string cmd = std::string(FORTD_FORTDC_PATH) + " " + args + " " +
-                          (dir / "in.fd").string() + " > " +
-                          (dir / "out").string() + " 2> " +
-                          (dir / "err").string();
-  const int status = std::system(cmd.c_str());
-  FortdcRun run;
-  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
-  run.out = slurp_text(dir / "out");
-  run.err = slurp_text(dir / "err");
-  return run;
+  return test::run_fortdc(fresh_cache_dir("fortdc_" + tag), "in", source,
+                          args);
 }
 
 TEST(FortdcServer, MalformedPortExitsTwoWithoutCompiling) {
@@ -1501,6 +1510,30 @@ TEST(FortdcServer, ServedListingMatchesLocalListing) {
   EXPECT_FALSE(local.out.empty());
   EXPECT_EQ(served.out, local.out);
   EXPECT_EQ(served.err.find("warning"), std::string::npos) << served.err;
+  EXPECT_EQ(json_uint(ts.svc->metrics_json(), "ok"), 1u);
+}
+
+TEST(FortdcServer, ServedAnalyzeReportMatchesLocalReport) {
+  // With -analyze the findings, the "fortdc: analyze:" line and the clone
+  // summary come from one writer on both paths.
+  TestService ts("fortdc_served_analyze");
+  std::ifstream fixture(std::string(FORTD_LINT_FIXTURE_DIR) +
+                        "/alias_hazard.fd");
+  std::ostringstream src;
+  src << fixture.rdbuf();
+  const FortdcRun local =
+      run_fortdc("served_analyze_local", "-p 2 -analyze -lint-json", src.str());
+  const FortdcRun served = run_fortdc(
+      "served_analyze",
+      "-p 2 -analyze -lint-json -server 127.0.0.1:" +
+          std::to_string(ts.svc->port()),
+      src.str());
+  ASSERT_EQ(local.exit_code, 0) << local.err;
+  EXPECT_EQ(served.exit_code, 0) << served.err;
+  EXPECT_NE(local.err.find("fortdc: analyze: 1 warning(s)"), std::string::npos)
+      << local.err;
+  EXPECT_EQ(served.err, local.err);
+  EXPECT_EQ(served.out, local.out);
   EXPECT_EQ(json_uint(ts.svc->metrics_json(), "ok"), 1u);
 }
 
