@@ -280,11 +280,11 @@ int main(int argc, char** argv) {
   auto print_timings = [&] {
     const CompilerStats& cs = compiler.last_stats();
     std::fprintf(stderr,
-                 "fortdc: bind %.2fms, ipa %.2fms, overlap %.2fms, "
-                 "codegen %.2fms (jobs=%d, %d level(s), %d/%d "
+                 "fortdc: parse %.2fms, bind %.2fms, ipa %.2fms, overlap "
+                 "%.2fms, codegen %.2fms (jobs=%d, %d level(s), %d/%d "
                  "generated), total %.2fms\n",
-                 cs.bind_ms, cs.ipa_ms, cs.overlap_ms, cs.codegen_ms,
-                 cs.jobs, cs.wavefront_levels, cs.generated,
+                 cs.parse_ms, cs.bind_ms, cs.ipa_ms, cs.overlap_ms,
+                 cs.codegen_ms, cs.jobs, cs.wavefront_levels, cs.generated,
                  cs.procedures, cs.total_ms);
     std::fprintf(stderr,
                  "fortdc: ipa %d round(s) (%d incremental), summaries "

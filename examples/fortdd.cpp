@@ -3,12 +3,12 @@
 // Accepts COMPILE requests from fortdc clients (-server HOST:PORT),
 // compiles them in-process, and streams the generated SPMD listing,
 // diagnostics, and per-request timings back. What makes it worth
-// running: the daemon keeps hot state between requests — serialized
-// ASTs keyed by source digest, one resident Compiler per option set
-// (whose procedure cache, IPA summary cache, alias maps, and clone
-// sets persist), and a shared on-disk ContentStore so even a restarted
-// daemon is warm. A repeat compile of an unchanged program parses
-// nothing and recomputes no summaries; after a one-procedure edit only
+// running: the daemon keeps hot state between requests — one resident
+// Compiler per option set (whose procedure cache, IPA summary cache,
+// alias maps, and clone sets persist) and a shared on-disk
+// ContentStore, so even a restarted daemon is warm. A repeat compile
+// of an unchanged program parses the source again but recomputes no
+// summaries and regenerates nothing; after a one-procedure edit only
 // that procedure recompiles (§8's recompilation tests, served over a
 // socket).
 //

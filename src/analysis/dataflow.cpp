@@ -24,10 +24,6 @@ BitSet& BitSet::subtract(const BitSet& o) {
   return *this;
 }
 
-bool BitSet::any() const {
-  return std::any_of(bits_.begin(), bits_.end(), [](uint64_t w) { return w != 0; });
-}
-
 int BitSet::count() const {
   int c = 0;
   for (uint64_t w : bits_) c += std::popcount(w);

@@ -32,7 +32,6 @@ public:
   /// this = this \ o
   BitSet& subtract(const BitSet& o);
   bool operator==(const BitSet& o) const { return bits_ == o.bits_; }
-  bool any() const;
   int count() const;
   std::vector<int> members() const;
   std::string str() const;

@@ -74,11 +74,6 @@ LintDriver::LintDriver(LintOptions options) : options_(std::move(options)) {
   }
 }
 
-void LintDriver::register_checker(std::unique_ptr<Checker> checker) {
-  if (options_.disabled.count(checker->id())) return;
-  checkers_.push_back(std::move(checker));
-}
-
 LintReport LintDriver::run(const LintContext& ctx, ThreadPool* pool) const {
   // One cell per (checker, procedure); procedures in AST order (the
   // post-cloning program lists clones after their origins, so the order is

@@ -73,8 +73,7 @@ private:
   int order_key_;
 };
 
-/// One lint pass. Implementations live in analysis/lint/checkers.cpp;
-/// out-of-tree checkers register through LintDriver::register_checker.
+/// One lint pass. Implementations live in analysis/lint/checkers.cpp.
 class Checker {
 public:
   virtual ~Checker() = default;
@@ -113,7 +112,6 @@ public:
   /// options.disabled).
   explicit LintDriver(LintOptions options = {});
 
-  void register_checker(std::unique_ptr<Checker> checker);
   const std::vector<std::unique_ptr<Checker>>& checkers() const {
     return checkers_;
   }

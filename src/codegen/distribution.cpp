@@ -236,18 +236,6 @@ int ArrayDistribution::owner_of(const std::vector<int64_t>& point) const {
   return dim(d).owner(point[static_cast<size_t>(d)]);
 }
 
-bool ArrayDistribution::owns(int p, const std::vector<int64_t>& point) const {
-  if (replicated_p()) return true;
-  // With multiple distributed dims, ownership requires owning along every
-  // distributed dimension (linearized grid would be needed for owner ids;
-  // `owns` remains well-defined).
-  for (int d = 0; d < rank(); ++d) {
-    if (spec_.dists[static_cast<size_t>(d)].kind == DistKind::None) continue;
-    if (dim(d).owner(point[static_cast<size_t>(d)]) != p) return false;
-  }
-  return true;
-}
-
 int64_t ArrayDistribution::remap_bytes(const ArrayDistribution& to,
                                        int elem_size) const {
   // Count elements whose owner changes. Along the (single) distributed

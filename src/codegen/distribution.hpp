@@ -79,8 +79,6 @@ public:
   /// distributed dim (0 for replicated arrays — every processor holds a
   /// copy and 0 is the canonical owner).
   int owner_of(const std::vector<int64_t>& point) const;
-  /// True when processor p owns the point (always true for replicated).
-  bool owns(int p, const std::vector<int64_t>& point) const;
 
   /// Bytes moved if the array is remapped from this distribution to `to`
   /// (elements whose owner changes, times element size).

@@ -40,9 +40,6 @@ struct CodegenOptions {
   bool prefer_buffers = false;
   /// Emit parameterized overlaps (Fig. 14) for formal array parameters.
   bool parameterized_overlaps = false;
-  /// Disable message vectorization (ablation; element messages at the
-  /// reference's own loop level).
-  bool message_vectorization = true;
 };
 
 }  // namespace fortd

@@ -290,7 +290,6 @@ uint64_t procedure_digest(const Procedure& proc, const BoundProgram& program,
   w.u8(static_cast<uint8_t>(options.dyn_decomp));
   w.boolean(options.prefer_buffers);
   w.boolean(options.parameterized_overlaps);
-  w.boolean(options.message_vectorization);
   // Generation consumes each callee's *compiled* interface (pending
   // comms, iteration sets, decomposition summary sets), finer-grained
   // than its static interface summary, and its formal names, which scope
@@ -384,13 +383,6 @@ void CompilationCache::insert(uint64_t digest, CachedProcedure entry) {
 size_t CompilationCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-void CompilationCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  hits_ = 0;
-  misses_ = 0;
 }
 
 }  // namespace fortd

@@ -78,8 +78,6 @@ public:
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   size_t size() const;
-  /// Clears the memory tier only; the attached store is unaffected.
-  void clear();
 
 private:
   mutable std::mutex mu_;

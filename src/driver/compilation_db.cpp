@@ -191,12 +191,25 @@ void ContentStore::scan_locked() {
   scanned_end_ = off;
 }
 
+void ContentStore::catch_up_locked() {
+  if (caught_up_ || fd_ < 0 || torn_) return;
+  caught_up_ = true;
+  struct stat st;
+  if (::fstat(fd_, &st) != 0 ||
+      static_cast<uint64_t>(st.st_size) <= scanned_end_ ||
+      !lock_pack_locked(LOCK_SH))
+    return;
+  scan_locked();
+  lock_fd(fd_, LOCK_UN);
+}
+
 std::optional<std::vector<uint8_t>> ContentStore::load(const std::string& kind,
                                                        uint64_t format_hash,
                                                        uint64_t digest) {
   if (options_.dir.empty()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
   const Key key{kind, digest};
+  if (!pending_.count(key) && !index_.count(key)) catch_up_locked();
   const size_t framing = 1 + kind.size();
   std::vector<uint8_t> record;
   uint64_t* tick = nullptr;  // of the pending or indexed record, if any
@@ -254,6 +267,7 @@ void ContentStore::mark_corrupt(const std::string& kind, uint64_t digest) {
 void ContentStore::flush() {
   if (options_.dir.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
+  caught_up_ = false;
   const uint64_t max = options_.max_bytes;
   if (pending_.empty() && !torn_ && (max == 0 || scanned_end_ <= max)) return;
   if (lock_pack_locked(LOCK_EX)) {

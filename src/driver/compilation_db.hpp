@@ -6,7 +6,9 @@
 //
 // A record is a one-byte kind length, the kind, and an envelope (magic,
 // format hash, digest, size, payload, checksum). Opening the store scans
-// the record headers once; a later record with the same key wins. A load
+// the record headers once; a later record with the same key wins. A key
+// the index lacks makes the store index what other stores appended since
+// its last scan, at most once between two flushes. A load
 // that fails validation reads as a miss, counts a corruption and drops
 // the record from the index; the compiler then stores it afresh. Writes
 // wait for flush() (once per compile), which appends them in one batch or
@@ -61,7 +63,10 @@ public:
 
   /// The payload stored under (kind, digest), or nullopt on a miss or a
   /// corrupt record. `format_hash` is the artifact codec's version stamp;
-  /// a mismatch is corruption (stale format), not a plain miss.
+  /// a mismatch is corruption (stale format), not a plain miss. The first
+  /// key since the last flush() that neither the index nor the pending
+  /// writes hold costs one fstat, and a scan of the records appended
+  /// since the last scan when the pack grew.
   std::optional<std::vector<uint8_t>> load(const std::string& kind,
                                            uint64_t format_hash,
                                            uint64_t digest);
@@ -122,6 +127,9 @@ private:
   bool lock_pack_locked(int op);
   /// Index the records from scanned_end_ to the end of the file.
   void scan_locked();
+  /// scan_locked() under the shared lock when the pack grew, once
+  /// between two flushes.
+  void catch_up_locked();
   void append_locked();
   void rewrite_locked();
   /// Write `kept` to a new file renamed over the pack; fd_ then holds it,
@@ -133,6 +141,7 @@ private:
   int fd_ = -1;               // the pack, O_RDWR | O_APPEND
   uint64_t scanned_end_ = 0;  // pack bytes the index covers
   bool torn_ = false;         // the scan stopped before the end of file
+  bool caught_up_ = false;    // catch_up_locked() ran since the last flush
   std::map<Key, Entry> index_;
   std::map<Key, Pending> pending_;
   uint64_t next_tick_ = 1;

@@ -317,12 +317,6 @@ const Procedure* SourceProgram::find(const std::string& name) const {
   return nullptr;
 }
 
-Procedure* SourceProgram::main() {
-  for (auto& p : procedures)
-    if (p->is_program) return p.get();
-  return nullptr;
-}
-
 // ---------------------------------------------------------------------------
 // Walkers
 // ---------------------------------------------------------------------------

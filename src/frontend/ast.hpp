@@ -235,7 +235,6 @@ struct SourceProgram {
 
   Procedure* find(const std::string& name);
   const Procedure* find(const std::string& name) const;
-  Procedure* main();
 };
 
 // ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ void retarget_call(BoundProgram& program, const std::string& caller,
 
 int apply_cloning_pass(BoundProgram& program, IpaContext& ctx,
                        const IpaOptions& options, CloneDelta* delta) {
-  if (!options.enable_cloning) return 0;
   int clones = 0;
 
   // Visit in topological order so callers' reaching sets are final before

@@ -19,7 +19,6 @@
 namespace fortd {
 
 struct IpaOptions {
-  bool enable_cloning = true;
   /// Growth threshold: cloning stops (falling back to run-time
   /// resolution) once the program would exceed this many procedures.
   int max_procedures = 256;

@@ -27,12 +27,6 @@ void OverlapOffsets::merge(const OverlapOffsets& o) {
   }
 }
 
-bool OverlapOffsets::any() const {
-  for (size_t d = 0; d < pos.size(); ++d)
-    if (pos[d] != 0 || neg[d] != 0) return true;
-  return false;
-}
-
 std::string OverlapOffsets::str() const {
   std::string s = "(";
   for (size_t d = 0; d < pos.size(); ++d) {

@@ -38,7 +38,6 @@ struct OverlapOffsets {
 
   void ensure_rank(int rank);
   void merge(const OverlapOffsets& o);
-  bool any() const;
   std::string str() const;
 };
 

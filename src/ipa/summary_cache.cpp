@@ -225,11 +225,4 @@ size_t IpaSummaryCache::size() const {
   return entries_.size();
 }
 
-void IpaSummaryCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  hits_ = 0;
-  misses_ = 0;
-}
-
 }  // namespace fortd

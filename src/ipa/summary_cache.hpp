@@ -56,7 +56,6 @@ public:
   uint64_t hits() const;
   uint64_t misses() const;
   size_t size() const;
-  void clear();
 
 private:
   struct Entry {

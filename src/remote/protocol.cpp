@@ -39,7 +39,6 @@ std::vector<uint8_t> encode_message(const WireMessage& m) {
     case MsgType::CompileReply:
       w.u8(m.creply.status);
       w.u64(m.creply.findings);
-      w.u64(m.creply.parsed_procedures);
       w.u64(m.creply.generated);
       w.u64(m.creply.summaries_computed);
       w.str(m.creply.spmd);
@@ -101,7 +100,6 @@ std::optional<WireMessage> decode_message(const std::vector<uint8_t>& frame) {
     case MsgType::CompileReply:
       m.creply.status = r.u8();
       m.creply.findings = static_cast<uint32_t>(r.u64());
-      m.creply.parsed_procedures = static_cast<uint32_t>(r.u64());
       m.creply.generated = static_cast<uint32_t>(r.u64());
       m.creply.summaries_computed = static_cast<uint32_t>(r.u64());
       m.creply.spmd = r.str();

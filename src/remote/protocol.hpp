@@ -25,9 +25,11 @@ namespace fortd::remote {
 /// v2: request-id varint after the type byte (pipelined connections).
 /// v3: compile-as-a-service messages (COMPILE/COMPILE_REPLY/DRAIN/
 ///     METRICS) for the resident fortdd daemon.
+/// v4: COMPILE_REPLY drops its parsed-procedure count: fortdd parses
+///     every request.
 /// Type bytes 4–13 are reserved (older peers sent cache messages with
 /// them) and decode as malformed.
-constexpr uint32_t kProtocolVersion = 3;
+constexpr uint32_t kProtocolVersion = 4;
 
 /// The handshake fingerprint: protocol version mixed with the artifact
 /// serialization format version. Either changing makes clients and
@@ -82,7 +84,6 @@ enum class CompileStatus : uint8_t {
 struct CompileReplyWire {
   uint8_t status = 0;  // CompileStatus
   uint32_t findings = 0;           // lint warnings + verifier diagnostics
-  uint32_t parsed_procedures = 0;  // 0 = AST served from the session cache
   uint32_t generated = 0;          // procedures that ran codegen
   uint32_t summaries_computed = 0; // procedures that ran local analysis
   std::string spmd;        // generated SPMD listing (status Ok)

@@ -26,7 +26,6 @@ CompileService::CompileService(ServiceOptions options)
                  ? nullptr
                  : std::make_unique<ContentStore>(CacheOptions{
                        options_.cache_dir, options_.cache_max_bytes})),
-      ast_cache_(options_.ast_cache_bytes),
       sessions_(options_.max_sessions, options_.jobs, &pool_, store_.get()) {
   loop_.set_cycle_handler(
       [this](std::vector<net::ServerLoop::InFrame>& frames) {
@@ -256,39 +255,37 @@ void CompileService::run_job(Job& job, double queue_ms) {
   remote::CompileReplyWire cw;
   remote::CompileStatus status = remote::CompileStatus::Ok;
   const auto t_start = Clock::now();
-  double parse_ms = 0.0;
   CompilerStats stats;
-  try {
-    int parsed = 0;
-    SourceProgram ast = ast_cache_.get(job.source, &parsed);
-    parse_ms = ms_since(t_start);
-    cw.parsed_procedures = static_cast<uint32_t>(parsed);
-
-    auto session = sessions_.acquire(job.copts);
+  auto session = sessions_.acquire(job.copts);
+  {
     std::lock_guard<std::mutex> session_lock(session->mu);
-    CompileResult result = session->compiler.compile(std::move(ast));
-    stats = result.stats;
-    cw.generated = static_cast<uint32_t>(stats.generated);
-    cw.summaries_computed = static_cast<uint32_t>(stats.summaries_computed);
-    cw.spmd = print_spmd(result.spmd);
+    try {
+      CompileResult result = session->compiler.compile_source(job.source);
+      cw.generated = static_cast<uint32_t>(result.stats.generated);
+      cw.summaries_computed =
+          static_cast<uint32_t>(result.stats.summaries_computed);
+      cw.spmd = print_spmd(result.spmd);
 
-    if (job.copts.analyze) {
-      cw.findings = static_cast<uint32_t>(
-          result.lint.warnings +
-          static_cast<int>(result.verify.diags.size()));
-      if (job.copts.want_lint_json)
-        cw.lint_json = session->compiler.last_lint_report().json();
+      if (job.copts.analyze) {
+        cw.findings = static_cast<uint32_t>(
+            result.lint.warnings +
+            static_cast<int>(result.verify.diags.size()));
+        if (job.copts.want_lint_json)
+          cw.lint_json = session->compiler.last_lint_report().json();
+      }
+      cw.diagnostics = compile_report(result, job.copts.analyze);
+    } catch (const CompileError& e) {
+      status = remote::CompileStatus::CompileFail;
+      cw.diagnostics = "fortdc: " + std::string(e.what()) + "\n";
     }
-    cw.diagnostics = compile_report(result, job.copts.analyze);
-  } catch (const CompileError& e) {
-    status = remote::CompileStatus::CompileFail;
-    cw.diagnostics = "fortdc: " + std::string(e.what()) + "\n";
+    // Filled in before a CompileError propagates, the parse included.
+    stats = session->compiler.last_stats();
   }
-  const double compile_ms = ms_since(t_start) - parse_ms;
+  const double compile_ms = ms_since(t_start) - stats.parse_ms;
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    metrics_.parse_ms_total += parse_ms;
+    metrics_.parse_ms_total += stats.parse_ms;
     metrics_.compile_ms_total += compile_ms;
   }
   if (job.copts.want_timings) {
@@ -297,11 +294,11 @@ void CompileService::run_job(Job& job, double queue_ms) {
         json, sizeof(json),
         "{\"queue_ms\":%.2f,\"parse_ms\":%.2f,\"compile_ms\":%.2f,"
         "\"bind_ms\":%.2f,\"ipa_ms\":%.2f,\"overlap_ms\":%.2f,"
-        "\"codegen_ms\":%.2f,\"parsed_procedures\":%u,\"generated\":%u,"
+        "\"codegen_ms\":%.2f,\"generated\":%u,"
         "\"summaries_computed\":%u,\"jobs\":%d}",
-        queue_ms, parse_ms, compile_ms, stats.bind_ms, stats.ipa_ms,
-        stats.overlap_ms, stats.codegen_ms, cw.parsed_procedures,
-        cw.generated, cw.summaries_computed, stats.jobs);
+        queue_ms, stats.parse_ms, compile_ms, stats.bind_ms, stats.ipa_ms,
+        stats.overlap_ms, stats.codegen_ms, cw.generated,
+        cw.summaries_computed, stats.jobs);
     cw.timings_json = json;
   }
   send_reply(job, std::move(cw), status);
@@ -309,7 +306,6 @@ void CompileService::run_job(Job& job, double queue_ms) {
 
 std::string CompileService::metrics_json() const {
   const auto lc = loop_.counters();
-  const auto ac = ast_cache_.counters();
   const auto sc = sessions_.counters();
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;
@@ -337,10 +333,7 @@ std::string CompileService::metrics_json() const {
       << ",\"connections_closed\":" << lc.connections_closed
       << ",\"disconnects_mid_reply\":" << lc.disconnects_mid_reply
       << ",\"replies_dropped\":" << lc.replies_dropped
-      << ",\"ast_cache\":{\"hits\":" << ac.hits << ",\"misses\":" << ac.misses
-      << ",\"evictions\":" << ac.evictions << ",\"bytes\":" << ac.bytes
-      << ",\"entries\":" << ac.entries
-      << "},\"sessions\":{\"hits\":" << sc.hits << ",\"misses\":" << sc.misses
+      << ",\"sessions\":{\"hits\":" << sc.hits << ",\"misses\":" << sc.misses
       << ",\"evictions\":" << sc.evictions << ",\"resident\":" << sc.sessions
       << "}}";
   return out.str();

@@ -11,9 +11,11 @@
 // queued is answered DeadlineExpired, not compiled), and compiles.
 //
 // The compile itself runs inside a per-option-set Session whose Compiler
-// persists across requests: its CompilationCache, IpaSummaryCache, alias
-// maps, and clone sets stay hot, so an unchanged program re-submitted to
-// a warm daemon parses 0 procedures (AstCache) and computes 0 summaries.
+// persists across requests and compiles the request's source with
+// Compiler::compile_source, as fortdc does: its CompilationCache,
+// IpaSummaryCache, alias maps, and clone sets stay hot, so an unchanged
+// program re-submitted to a warm daemon is parsed again but computes 0
+// summaries and regenerates 0 procedures.
 // All sessions share one ThreadPool (concurrent requests split the
 // machine's workers; see ThreadPool's concurrent-batch contract) and one
 // ContentStore over the cache directory, which keeps a restarted daemon
@@ -54,8 +56,6 @@ struct ServiceOptions {
   size_t max_queue = 64;
   /// Distinct option-set Compilers kept resident (LRU beyond this).
   size_t max_sessions = 8;
-  /// Serialized-AST cache budget.
-  uint64_t ast_cache_bytes = 64ull << 20;
   /// Directory of the ContentStore every session shares ("" = the
   /// sessions are memory-only and a restart starts cold).
   std::string cache_dir;
@@ -91,7 +91,7 @@ class CompileService {
 
   /// Aggregate service metrics as stable JSON (also the METRICS reply):
   /// request counts by status, queue-wait and per-phase totals, in-flight
-  /// and queue peaks, session/AST-cache counters, connection counters.
+  /// and queue peaks, session-cache counters, connection counters.
   std::string metrics_json() const;
 
  private:
@@ -121,7 +121,6 @@ class CompileService {
   net::ServerLoop loop_;
   ThreadPool pool_;
   std::unique_ptr<ContentStore> store_;  // null without a cache dir
-  AstCache ast_cache_;
   SessionCache sessions_;
 
   std::map<ConnId, bool> hello_done_;  // loop thread only

@@ -1,20 +1,19 @@
 // Session state of the resident compile daemon (fortdd): what makes a
 // warm daemon warm.
 //
-// AstCache holds serialized ASTs keyed by source digest, so a repeat
-// COMPILE of unchanged source deserializes instead of parsing (the
-// "parses 0 procedures" half of the warm-request contract). SessionCache
-// holds one long-lived Compiler per distinct option set; a retained
-// Compiler keeps its CompilationCache, IpaSummaryCache, alias maps, and
-// clone sets hot across requests (the "computes 0 summaries" half).
-// Every session layers over one shared ContentStore, so a restarted
-// daemon is still warm from disk — the session tier only removes the
-// deserialize/rehash work the disk tier cannot.
+// SessionCache holds one long-lived Compiler per distinct option set; a
+// retained Compiler keeps its CompilationCache, IpaSummaryCache, alias
+// maps, and clone sets hot across requests, so a repeat COMPILE of
+// unchanged source parses it again but computes 0 summaries and
+// regenerates 0 procedures. Every session layers over one shared
+// ContentStore, so a restarted daemon is still warm from disk — the
+// session tier only removes the deserialize/rehash work the disk tier
+// cannot.
 //
-// Both caches are LRU-bounded: AstCache by serialized bytes, SessionCache
-// by session count. Eviction hands out shared_ptrs, so a session can be
-// evicted while a request still compiles inside it — the storage lives
-// until the request finishes, only the cache slot is reused.
+// The cache is LRU-bounded by session count. Eviction hands out
+// shared_ptrs, so a session can be evicted while a request still
+// compiles inside it — the storage lives until the request finishes,
+// only the cache slot is reused.
 #pragma once
 
 #include <cstdint>
@@ -22,50 +21,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <unordered_map>
 
 #include "driver/compiler.hpp"
 #include "remote/protocol.hpp"
 
 namespace fortd::service {
-
-/// Serialized-AST cache keyed by source digest. Thread-safe.
-class AstCache {
- public:
-  /// `max_bytes` bounds the sum of serialized entry sizes (LRU).
-  explicit AstCache(uint64_t max_bytes) : max_bytes_(max_bytes) {}
-
-  /// The AST for `source`: deserialized from the cache when the digest is
-  /// known (— then *parsed_procedures = 0), otherwise parsed, counted,
-  /// and inserted. Throws CompileError on a parse failure (never cached).
-  SourceProgram get(const std::string& source, int* parsed_procedures);
-
-  struct Counters {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t bytes = 0;    // current
-    uint64_t entries = 0;  // current
-  };
-  Counters counters() const;
-
- private:
-  struct Entry {
-    std::vector<uint8_t> bytes;  // count + write_procedure per procedure
-    int procedures = 0;
-    std::list<uint64_t>::iterator lru;
-  };
-
-  void evict_locked();
-
-  uint64_t max_bytes_;
-  mutable std::mutex mu_;
-  std::list<uint64_t> lru_;  // front = most recently used
-  std::unordered_map<uint64_t, Entry> entries_;
-  uint64_t bytes_ = 0;
-  Counters counters_;
-};
 
 /// One resident Compiler and the lock that serializes compiles through
 /// it (a Compiler's caches are mutated by compile(), so one request at a

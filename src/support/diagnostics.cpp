@@ -69,10 +69,4 @@ int DiagnosticEngine::warning_count() const {
   return warnings_;
 }
 
-void DiagnosticEngine::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  diags_.clear();
-  warnings_ = 0;
-}
-
 }  // namespace fortd

@@ -75,7 +75,6 @@ public:
   /// then per-procedure reports by procedure index.
   std::vector<Diagnostic> ordered() const;
   int warning_count() const;
-  void clear();
 
 private:
   void record(DiagLevel level, SourceLoc loc, const std::string& msg,

@@ -36,11 +36,6 @@ void BinaryWriter::str(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void BinaryWriter::blob(const std::vector<uint8_t>& v) {
-  u64(v.size());
-  buf_.insert(buf_.end(), v.begin(), v.end());
-}
-
 bool BinaryReader::take(void* out, size_t n) {
   if (!ok_ || size_ - pos_ < n) {
     ok_ = false;
@@ -97,17 +92,6 @@ std::string BinaryReader::str() {
   std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return s;
-}
-
-std::vector<uint8_t> BinaryReader::blob() {
-  uint64_t n = u64();
-  if (!ok_ || size_ - pos_ < n) {
-    ok_ = false;
-    return {};
-  }
-  std::vector<uint8_t> v(data_ + pos_, data_ + pos_ + n);
-  pos_ += n;
-  return v;
 }
 
 size_t BinaryReader::count() {

@@ -54,7 +54,6 @@ public:
   void boolean(bool v) { u8(v ? 1 : 0); }
   void f64(double v);              // 8 bytes, little-endian bit pattern
   void str(const std::string& s);
-  void blob(const std::vector<uint8_t>& v);  // length-prefixed raw bytes
 
   /// Length prefix for a container; elements follow via the other writers.
   void count(size_t n) { u64(static_cast<uint64_t>(n)); }
@@ -79,7 +78,6 @@ public:
   bool boolean() { return u8() != 0; }
   double f64();
   std::string str();
-  std::vector<uint8_t> blob();
 
   /// Container length prefix. Fails (returning 0) when the count exceeds
   /// the remaining bytes — every element costs at least one byte, so a

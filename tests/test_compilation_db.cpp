@@ -2,6 +2,7 @@
 //   * BinaryWriter/BinaryReader round trips and stream-failure semantics,
 //   * the envelope's checksum,
 //   * ContentStore lifecycle — store/flush/load across instances,
+//     records another store appended after this one opened,
 //     byte-exact payloads, the one-file layout, the rewrite policy,
 //     clear(), kind validation and traversal kinds, mark_corrupt, the
 //     inert store without a directory, and soaks of one store in four
@@ -236,6 +237,33 @@ TEST(ContentStore, MissesAreCounted) {
   EXPECT_FALSE(store.load("proc", 7, 99).has_value());
   EXPECT_EQ(store.counters().misses, 1u);
   EXPECT_EQ(store.counters().hits, 0u);
+}
+
+TEST(ContentStore, MissIndexesWhatAnotherStoreAppendedOncePerFlush) {
+  // The first store stands for fortdd's long-lived one, the second for a
+  // fortdc process that appended to the pack after the first opened it.
+  const std::string dir = fresh_cache_dir("catch_up");
+  ContentStore resident({dir});
+  ContentStore local({dir});
+  local.store("proc", 7, 1, bytes_of({1}));
+  local.flush();
+  auto got = resident.load("proc", 7, 1);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, bytes_of({1}));
+
+  // One catch-up between two flushes: a later append is found after the
+  // resident store's next flush, not on every miss.
+  local.store("proc", 7, 2, bytes_of({2}));
+  local.flush();
+  EXPECT_FALSE(resident.load("proc", 7, 2).has_value());
+  resident.flush();
+  got = resident.load("proc", 7, 2);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, bytes_of({2}));
+  EXPECT_EQ(resident.counters().hits, 2u);
+  EXPECT_EQ(resident.counters().misses, 1u);
+  EXPECT_EQ(resident.counters().corrupt, 0u);
+  EXPECT_EQ(resident.size(), 2u);
 }
 
 TEST(ContentStore, TruncatedBlobIsCorruptAndQuarantined) {
