@@ -8,11 +8,15 @@
 //   * observed-vs-predicted traffic — the rendezvous run's per-processor
 //     message counts and payload bytes equal the simulator's predictions
 //     (the paper's Fig. 11/16/17 quantities),
+//   * pinned predictions — the simulator's clock and traffic for the
+//     examples and the benchmark generator programs equal recorded
+//     literals, bit for bit,
 //   * backend-name parsing.
 // Deadlock, failure and message-order cases run hand-built programs in
 // test_extensions.cpp.
 #include <gtest/gtest.h>
 
+#include "../bench/programs.hpp"
 #include "driver/compiler.hpp"
 #include "example_programs.hpp"
 #include "frontend/parser.hpp"
@@ -122,6 +126,154 @@ TEST(RuntimeDifferential, ObservedTrafficMatchesKnownPredictions) {
   EXPECT_GT(rd.run.remaps_executed, 0);
   EXPECT_EQ(rd.run.remaps_executed, rd.predicted.remaps_executed);
   EXPECT_EQ(rd.run.remap_bytes, rd.predicted.remap_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned predictions: the simulator's clock and counts as recorded literals
+// ---------------------------------------------------------------------------
+
+/// The simulator's prediction for one program at P=4. The clock is a
+/// floating-point sum of per-event charges, so its literal pins the order
+/// in which the evaluator fires its guard, loop, flop and call hooks, not
+/// only how often.
+struct PinnedPrediction {
+  const char* program;
+  Strategy strategy;
+  double sim_time_us;
+  int64_t messages, bytes, remaps, remap_bytes;
+  int64_t flops[4];
+  int64_t iterations[4];
+};
+
+const PinnedPrediction kPinned[] = {
+    {"jacobi", Strategy::Interprocedural, 0x1.8a533333336d4p+12, 120, 960, 0, 0,
+     {6202, 6562, 6562, 5962},
+     {2604, 2644, 2644, 2604}},
+    {"jacobi", Strategy::Intraprocedural, 0x1.8a533333336d4p+12, 120, 960, 0, 0,
+     {6202, 6562, 6562, 5962},
+     {2604, 2644, 2644, 2604}},
+    {"jacobi", Strategy::RuntimeResolution, 0x1.c37051eb7f68dp+14, 120, 960, 0, 0,
+     {198925, 199145, 199145, 198925},
+     {10436, 10436, 10436, 10436}},
+    {"adi", Strategy::Interprocedural, 0x1.b35dffffff859p+14, 0, 0, 8, 110592,
+     {25129, 25129, 25129, 25129},
+     {6964, 6964, 6964, 6964}},
+    {"adi", Strategy::Intraprocedural, 0x1.b35dffffff859p+14, 0, 0, 8, 110592,
+     {25129, 25129, 25129, 25129},
+     {6964, 6964, 6964, 6964}},
+    {"adi", Strategy::RuntimeResolution, 0x1.aa18eb851534dp+15, 0, 0, 8, 110592,
+     {273697, 273697, 273697, 273697},
+     {20788, 20788, 20788, 20788}},
+    {"stencil2d", Strategy::Interprocedural, 0x1.96e28f5c2be69p+13, 3, 12000, 0, 0,
+     {100676, 100683, 100683, 99669},
+     {15100, 15100, 15100, 14600}},
+    {"stencil2d", Strategy::Intraprocedural, 0x1.41ad28f5c3201p+14, 300, 12000, 0, 0,
+     {102651, 103351, 103351, 100951},
+     {15175, 15175, 15175, 14675}},
+    {"stencil2d", Strategy::RuntimeResolution, 0x1.389e1999a5d7dp+16, 1500, 12000, 0, 0,
+     {327751, 329251, 329251, 326251},
+     {29300, 29300, 29300, 29300}},
+    {"redistribution", Strategy::Interprocedural, 0x1.8dccccccccb9cp+9, 0, 0, 1, 576,
+     {2069, 2069, 2069, 2069},
+     {2060, 2060, 2060, 2060}},
+    {"redistribution", Strategy::Intraprocedural, 0x1.2e019999998bap+14, 0, 0, 40, 23040,
+     {2069, 2069, 2069, 2069},
+     {2060, 2060, 2060, 2060}},
+    {"redistribution", Strategy::RuntimeResolution, 0x1.33506666665f8p+14, 0, 0, 40, 23040,
+     {4951, 4951, 4951, 4951},
+     {2210, 2210, 2210, 2210}},
+    {"dgefa", Strategy::Interprocedural, 0x1.9124ccccccd27p+12, 90, 3240, 0, 0,
+     {1272, 1336, 1392, 1436},
+     {443, 475, 503, 526}},
+    {"dgefa", Strategy::Intraprocedural, 0x1.ebf6666666742p+13, 405, 30120, 0, 0,
+     {1872, 1936, 1992, 2036},
+     {539, 567, 591, 610}},
+    {"dgefa", Strategy::RuntimeResolution, 0x1.ad290a3d6f82cp+15, 1430, 11440, 0, 0,
+     {31296, 31344, 31388, 31428},
+     {1902, 1902, 1902, 1902}},
+    {"dgefa(24)", Strategy::Interprocedural, 0x1.4d647ae147c2cp+13, 138, 7176, 0, 0,
+     {3410, 3554, 3686, 3802},
+     {1365, 1437, 1503, 1562}},
+    {"dgefa(24)", Strategy::Intraprocedural, 0x1.02e7f5c28f45p+15, 897, 104328, 0, 0,
+     {4882, 5026, 5158, 5274},
+     {1581, 1647, 1707, 1760}},
+    {"dgefa(24)", Strategy::RuntimeResolution, 0x1.556f3d70a6632p+17, 4320, 34560, 0, 0,
+     {105460, 105568, 105670, 105766},
+     {5798, 5798, 5798, 5798}},
+    {"stencil1d(256, 4)", Strategy::Interprocedural, 0x1.700a3d70a3d62p+7, 3, 96, 0, 0,
+     {291, 298, 298, 272},
+     {128, 128, 128, 124}},
+    {"stencil1d(256, 4)", Strategy::Intraprocedural, 0x1.700a3d70a3d62p+7, 3, 96, 0, 0,
+     {291, 298, 298, 272},
+     {128, 128, 128, 124}},
+    {"stencil1d(256, 4)", Strategy::RuntimeResolution, 0x1.9f5eb851eb9e3p+9, 12, 96, 0, 0,
+     {4314, 4326, 4326, 4298},
+     {508, 508, 508, 508}},
+    {"fig4(64, 8)", Strategy::Interprocedural, 0x1.18adc28f5bbbep+12, 3, 960, 0, 0,
+     {38170, 37225, 37225, 37131},
+     {4776, 4296, 4296, 4256}},
+    {"fig4(64, 8)", Strategy::Intraprocedural, 0x1.412a8f5c2889dp+12, 24, 960, 0, 0,
+     {38305, 37409, 37409, 37217},
+     {4776, 4304, 4304, 4264}},
+    {"fig4(64, 8)", Strategy::RuntimeResolution, 0x1.d056147ae24eap+12, 120, 960, 0, 0,
+     {35073, 34249, 34249, 34009},
+     {5120, 5120, 5120, 5120}},
+    {"fig15(128, 4)", Strategy::Interprocedural, 0x1.55b333333326p+9, 0, 0, 1, 768,
+     {1107, 1107, 1107, 1107},
+     {1092, 1092, 1092, 1092}},
+    {"fig15(128, 4)", Strategy::Intraprocedural, 0x1.061b3333333cbp+13, 0, 0, 16, 12288,
+     {1107, 1107, 1107, 1107},
+     {1092, 1092, 1092, 1092}},
+    {"fig15(128, 4)", Strategy::RuntimeResolution, 0x1.0cc00000001a2p+13, 0, 0, 16, 12288,
+     {2881, 2881, 2881, 2881},
+     {1284, 1284, 1284, 1284}},
+    {"fan_out(24, 128)", Strategy::Interprocedural, 0x1.3facccccccbebp+11, 72, 1152, 0, 0,
+     {2178, 2338, 2338, 1858},
+     {800, 800, 800, 728}},
+    {"fan_out(24, 128)", Strategy::Intraprocedural, 0x1.3facccccccbebp+11, 72, 1152, 0, 0,
+     {2178, 2338, 2338, 1858},
+     {800, 800, 800, 728}},
+    {"fan_out(24, 128)", Strategy::RuntimeResolution, 0x1.1bcb5c28f718cp+13, 144, 1152, 0, 0,
+     {44041, 44185, 44185, 43849},
+     {3128, 3128, 3128, 3128}},
+};
+
+std::string pinned_source(const std::string& program) {
+  for (const Example& ex : kExamples)
+    if (program == ex.name) return ex.source;
+  if (program == "dgefa(24)") return bench::dgefa(24);
+  if (program == "stencil1d(256, 4)") return bench::stencil1d(256, 4);
+  if (program == "fig4(64, 8)") return bench::fig4(64, 8);
+  if (program == "fig15(128, 4)") return bench::fig15(128, 4);
+  if (program == "fan_out(24, 128)") return bench::fan_out(24, 128);
+  ADD_FAILURE() << "no source for " << program;
+  return "";
+}
+
+TEST(RuntimeBackend, SimulatorPredictionsArePinned) {
+  // The five examples and the five generator programs of perfbench's
+  // run_check workload, each under the three strategies.
+  for (const PinnedPrediction& want : kPinned) {
+    SCOPED_TRACE(std::string(want.program) + " -s " +
+                 strategy_name(want.strategy));
+    CodegenOptions options;
+    options.n_procs = 4;
+    options.strategy = want.strategy;
+    Compiler compiler(options);
+    const CompileResult compiled =
+        compiler.compile_source(pinned_source(want.program));
+    const ExecResult got = simulate(compiled.spmd);
+    EXPECT_EQ(got.sim_time_us, want.sim_time_us);
+    EXPECT_EQ(got.messages, want.messages);
+    EXPECT_EQ(got.bytes, want.bytes);
+    EXPECT_EQ(got.remaps_executed, want.remaps);
+    EXPECT_EQ(got.remap_bytes, want.remap_bytes);
+    ASSERT_EQ(got.per_proc.size(), 4u);
+    for (size_t p = 0; p < 4; ++p) {
+      EXPECT_EQ(got.per_proc[p].flops, want.flops[p]) << "P" << p;
+      EXPECT_EQ(got.per_proc[p].iterations, want.iterations[p]) << "P" << p;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
