@@ -194,11 +194,15 @@ void ContentStore::scan_locked() {
 void ContentStore::catch_up_locked() {
   if (caught_up_ || fd_ < 0 || torn_) return;
   caught_up_ = true;
-  struct stat st;
-  if (::fstat(fd_, &st) != 0 ||
-      static_cast<uint64_t>(st.st_size) <= scanned_end_ ||
-      !lock_pack_locked(LOCK_SH))
-    return;
+  // Another store's rewrite renames a new pack over the one fd_ holds,
+  // which then never grows: lock_pack_locked() reopens and rescans it.
+  struct stat held, named;
+  if (::fstat(fd_, &held) != 0) return;
+  const bool replaced =
+      ::stat((options_.dir + "/pack").c_str(), &named) == 0 &&
+      (named.st_ino != held.st_ino || named.st_dev != held.st_dev);
+  if (!replaced && static_cast<uint64_t>(held.st_size) <= scanned_end_) return;
+  if (!lock_pack_locked(LOCK_SH)) return;
   scan_locked();
   lock_fd(fd_, LOCK_UN);
 }

@@ -8,7 +8,8 @@
 // format hash, digest, size, payload, checksum). Opening the store scans
 // the record headers once; a later record with the same key wins. A key
 // the index lacks makes the store index what other stores appended since
-// its last scan, at most once between two flushes. A load
+// its last scan, or the pack another store's rewrite put in its place, at
+// most once between two flushes. A load
 // that fails validation reads as a miss, counts a corruption and drops
 // the record from the index; the compiler then stores it afresh. Writes
 // wait for flush() (once per compile), which appends them in one batch or
@@ -65,8 +66,9 @@ public:
   /// corrupt record. `format_hash` is the artifact codec's version stamp;
   /// a mismatch is corruption (stale format), not a plain miss. The first
   /// key since the last flush() that neither the index nor the pending
-  /// writes hold costs one fstat, and a scan of the records appended
-  /// since the last scan when the pack grew.
+  /// writes hold costs one fstat and one stat, and a scan of the records
+  /// appended since the last scan when the pack grew, or of the whole
+  /// pack when another store's rewrite replaced it.
   std::optional<std::vector<uint8_t>> load(const std::string& kind,
                                            uint64_t format_hash,
                                            uint64_t digest);
@@ -127,8 +129,8 @@ private:
   bool lock_pack_locked(int op);
   /// Index the records from scanned_end_ to the end of the file.
   void scan_locked();
-  /// scan_locked() under the shared lock when the pack grew, once
-  /// between two flushes.
+  /// scan_locked() under the shared lock when the pack grew or was
+  /// replaced, once between two flushes.
   void catch_up_locked();
   void append_locked();
   void rewrite_locked();

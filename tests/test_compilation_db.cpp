@@ -266,6 +266,51 @@ TEST(ContentStore, MissIndexesWhatAnotherStoreAppendedOncePerFlush) {
   EXPECT_EQ(resident.size(), 2u);
 }
 
+/// Eight 200-byte "k" records stored and flushed by `writer`, whose
+/// max_bytes of 1024 makes the flush rewrite the pack; the keys it kept.
+std::set<std::string> overflow_into_a_rewrite(ContentStore& writer) {
+  for (uint64_t k = 0; k < 8; ++k)
+    writer.store("k", 7, k, std::vector<uint8_t>(200, static_cast<uint8_t>(k)));
+  writer.flush();
+  return pack_keys(writer.options().dir);
+}
+
+TEST(ContentStore, MissSeesAPackAnotherStoreRewrote) {
+  // The rewrite renames a new pack over the one the resident store holds
+  // open; that file never grows again, so only the name shows the change.
+  CacheOptions opt{fresh_cache_dir("rewritten")};
+  opt.max_bytes = 1024;
+  ContentStore resident(opt);
+  ContentStore local(opt);
+  const std::set<std::string> kept = overflow_into_a_rewrite(local);
+  ASSERT_EQ(kept.size(), 4u);
+  for (uint64_t k = 0; k < 8; ++k)
+    EXPECT_EQ(resident.load("k", 7, k).has_value(),
+              kept.count("k/" + std::to_string(k)) > 0)
+        << k;
+  EXPECT_EQ(resident.counters().hits, 4u);
+  EXPECT_EQ(resident.counters().corrupt, 0u);
+}
+
+TEST(ContentStore, MissBeforeARewriteSeesTheNewPackAfterTheNextFlush) {
+  CacheOptions opt{fresh_cache_dir("rewritten_after_miss")};
+  opt.max_bytes = 1024;
+  ContentStore resident(opt);
+  ContentStore local(opt);
+  EXPECT_FALSE(resident.load("k", 7, 99).has_value());
+  const std::set<std::string> kept = overflow_into_a_rewrite(local);
+  ASSERT_EQ(kept.size(), 4u);
+  // One catch-up between two flushes: the resident store looks again
+  // after its next flush, which has nothing to write.
+  EXPECT_FALSE(resident.load("k", 7, 7).has_value());
+  resident.flush();
+  for (uint64_t k = 0; k < 8; ++k)
+    EXPECT_EQ(resident.load("k", 7, k).has_value(),
+              kept.count("k/" + std::to_string(k)) > 0)
+        << k;
+  EXPECT_EQ(resident.counters().hits, 4u);
+}
+
 TEST(ContentStore, TruncatedBlobIsCorruptAndQuarantined) {
   std::string dir = fresh_cache_dir("truncate");
   {
