@@ -83,21 +83,6 @@ int64_t DimDistribution::block_size() const {
   return (n + nprocs_ - 1) / nprocs_;
 }
 
-int DimDistribution::owner(int64_t i) const {
-  int64_t off = i - glb_;
-  switch (spec_.kind) {
-    case DistKind::None:
-      return 0;
-    case DistKind::Block:
-      return static_cast<int>(std::min<int64_t>(off / block_size(), nprocs_ - 1));
-    case DistKind::Cyclic:
-      return static_cast<int>(off % nprocs_);
-    case DistKind::BlockCyclic:
-      return static_cast<int>((off / spec_.block_size) % nprocs_);
-  }
-  return 0;
-}
-
 Triplet DimDistribution::local_set(int p) const {
   switch (spec_.kind) {
     case DistKind::None:
@@ -230,54 +215,50 @@ DimDistribution ArrayDistribution::dim(int d) const {
   return DimDistribution(spec_.dists[static_cast<size_t>(d)], lb, ub, nprocs_);
 }
 
-int ArrayDistribution::owner_of(const std::vector<int64_t>& point) const {
-  int d = dist_dim();
-  if (d < 0) return 0;
-  return dim(d).owner(point[static_cast<size_t>(d)]);
+// ---------------------------------------------------------------------------
+// OwnerFn
+// ---------------------------------------------------------------------------
+
+OwnerFn::OwnerFn(const DecompSpec& spec,
+                 const std::vector<std::pair<int64_t, int64_t>>& bounds,
+                 int nprocs)
+    : nprocs(nprocs) {
+  const int d = spec.single_distributed_dim();
+  if (d < 0 || static_cast<size_t>(d) >= bounds.size()) return;
+  const auto [lb, ub] = bounds[static_cast<size_t>(d)];
+  const DimDistribution dd(spec.dists[static_cast<size_t>(d)], lb, ub, nprocs);
+  dim = d;
+  kind = dd.kind();
+  glb = lb;
+  block = kind == DistKind::Block ? dd.block_size()
+                                  : spec.dists[static_cast<size_t>(d)].block_size;
 }
 
-int64_t ArrayDistribution::remap_bytes(const ArrayDistribution& to,
-                                       int elem_size) const {
-  // Count elements whose owner changes. Along the (single) distributed
-  // dimensions this factorizes: iterate the dist-dim indices, multiply by
-  // the product of the other extents.
-  assert(rank() == to.rank());
+int64_t moved_elements(const std::vector<std::pair<int64_t, int64_t>>& bounds,
+                       const OwnerFn& from, const OwnerFn& to) {
+  // Owners vary along from.dim and to.dim only: count the differing owner
+  // pairs there, times the extents of the other dimensions.
   int64_t other = 1;
-  for (int d = 0; d < rank(); ++d) {
-    auto [lb, ub] = bounds_[static_cast<size_t>(d)];
-    bool involved = spec_.dists[static_cast<size_t>(d)].kind != DistKind::None ||
-                    to.spec_.dists[static_cast<size_t>(d)].kind != DistKind::None;
-    if (!involved) other *= (ub - lb + 1);
-  }
-  int64_t moved = 0;
-  // Iterate over the involved dims jointly (at most 2 in practice; we
-  // support exactly the single-dist-dim case plus replicated).
-  std::vector<int> involved_dims;
-  for (int d = 0; d < rank(); ++d) {
-    bool involved = spec_.dists[static_cast<size_t>(d)].kind != DistKind::None ||
-                    to.spec_.dists[static_cast<size_t>(d)].kind != DistKind::None;
-    if (involved) involved_dims.push_back(d);
-  }
-  if (involved_dims.empty()) return 0;
-  // Enumerate the cross product of involved dims (sizes are modest).
-  std::vector<int64_t> point(static_cast<size_t>(rank()), 0);
-  std::function<void(size_t)> walk = [&](size_t k) {
-    if (k == involved_dims.size()) {
-      std::vector<int64_t> full(static_cast<size_t>(rank()), 0);
-      for (int d = 0; d < rank(); ++d)
-        full[static_cast<size_t>(d)] = point[static_cast<size_t>(d)];
-      if (owner_of(full) != to.owner_of(full)) moved += other;
-      return;
-    }
-    int d = involved_dims[k];
-    auto [lb, ub] = bounds_[static_cast<size_t>(d)];
-    for (int64_t i = lb; i <= ub; ++i) {
-      point[static_cast<size_t>(d)] = i;
-      walk(k + 1);
-    }
+  for (size_t d = 0; d < bounds.size(); ++d)
+    if (static_cast<int>(d) != from.dim && static_cast<int>(d) != to.dim)
+      other *= std::max<int64_t>(bounds[d].second - bounds[d].first + 1, 0);
+  const auto owners = [&](const OwnerFn& o) {
+    if (o.dim < 0) return std::vector<int>{0};
+    std::vector<int> out;
+    for (int64_t i = bounds[static_cast<size_t>(o.dim)].first;
+         i <= bounds[static_cast<size_t>(o.dim)].second; ++i)
+      out.push_back(o.at(i));
+    return out;
   };
-  walk(0);
-  return moved * elem_size;
+  const std::vector<int> f = owners(from), t = owners(to);
+  int64_t differ = 0;
+  if (from.dim >= 0 && from.dim == to.dim) {
+    for (size_t i = 0; i < f.size(); ++i) differ += f[i] != t[i];
+  } else {
+    for (int a : f)
+      for (int b : t) differ += a != b;
+  }
+  return differ * other;
 }
 
 }  // namespace fortd

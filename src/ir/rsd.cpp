@@ -272,21 +272,7 @@ Rsd Rsd::translate(const std::vector<int64_t>& offsets) const {
 
 std::vector<std::vector<int64_t>> Rsd::enumerate() const {
   std::vector<std::vector<int64_t>> out;
-  if (empty()) return out;
-  std::vector<int64_t> point;
-  point.reserve(dims_.size());
-  for (const auto& t : dims_) point.push_back(t.lb);
-  for (;;) {
-    out.push_back(point);
-    // Odometer increment, last dimension fastest.
-    int d = rank() - 1;
-    for (; d >= 0; --d) {
-      point[static_cast<size_t>(d)] += dims_[static_cast<size_t>(d)].step;
-      if (point[static_cast<size_t>(d)] <= dims_[static_cast<size_t>(d)].ub) break;
-      point[static_cast<size_t>(d)] = dims_[static_cast<size_t>(d)].lb;
-    }
-    if (d < 0) break;
-  }
+  for_each([&](const int64_t* point) { out.emplace_back(point, point + rank()); });
   return out;
 }
 

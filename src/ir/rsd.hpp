@@ -21,6 +21,29 @@
 
 namespace fortd {
 
+/// Up to kInlineRank values on the stack, more on the heap: section points
+/// and subscript lists without a heap allocation at any rank Fortran allows.
+template <typename T>
+class RankBuffer {
+public:
+  static constexpr size_t kInlineRank = 8;
+  explicit RankBuffer(size_t n) {
+    if (n > kInlineRank) {
+      heap_.resize(n);
+      data_ = heap_.data();
+    }
+  }
+  RankBuffer(const RankBuffer&) = delete;
+  RankBuffer& operator=(const RankBuffer&) = delete;
+  T* data() { return data_; }
+  T& operator[](size_t i) { return data_[i]; }
+
+private:
+  T inline_[kInlineRank];
+  std::vector<T> heap_;
+  T* data_ = inline_;
+};
+
 /// One dimension of a regular section: the integers
 /// {lb, lb+step, ..., <= ub}. Normalized so that ub is exactly the last
 /// member (or lb-1 for a canonical empty triplet).
@@ -95,8 +118,30 @@ public:
 
   Rsd translate(const std::vector<int64_t>& offsets) const;
 
-  /// Enumerate all points (row-major over dimensions) — used by the
-  /// simulator and by property tests. Intended for small sections.
+  /// Call fn(point) for every point, row-major over dimensions (last
+  /// dimension fastest), with `point` holding rank() indices. The order
+  /// message payloads are packed and unpacked in.
+  template <typename Fn>
+  void for_each(Fn fn) const {
+    if (empty()) return;
+    const int r = rank();
+    RankBuffer<int64_t> point(static_cast<size_t>(r));
+    for (int d = 0; d < r; ++d) point[static_cast<size_t>(d)] = dim(d).lb;
+    for (;;) {
+      fn(static_cast<const int64_t*>(point.data()));
+      int d = r - 1;
+      for (; d >= 0; --d) {
+        int64_t& x = point[static_cast<size_t>(d)];
+        x += dim(d).step;
+        if (x <= dim(d).ub) break;
+        x = dim(d).lb;
+      }
+      if (d < 0) return;
+    }
+  }
+
+  /// All points in for_each() order, materialized. Intended for small
+  /// sections (property tests).
   std::vector<std::vector<int64_t>> enumerate() const;
 
   bool operator==(const Rsd&) const = default;

@@ -27,9 +27,11 @@ class DistributionProperty : public ::testing::TestWithParam<DistCase> {};
 TEST_P(DistributionProperty, OwnershipPartitionsIndexSpace) {
   const auto& c = GetParam();
   DimDistribution dd(DistSpec{c.kind, c.block}, 1, c.n, c.procs);
+  const OwnerFn owner(DecompSpec{{DistSpec{c.kind, c.block}}}, {{1, c.n}},
+                      c.procs);
   if (c.kind == DistKind::None) {
     // Replicated: every processor holds the full range; owner is 0.
-    for (int64_t i = 1; i <= c.n; ++i) EXPECT_EQ(dd.owner(i), 0);
+    for (int64_t i = 1; i <= c.n; ++i) EXPECT_EQ(owner.at(i), 0);
     EXPECT_EQ(dd.local_set(2), Triplet(1, c.n));
     return;
   }
@@ -42,7 +44,7 @@ TEST_P(DistributionProperty, OwnershipPartitionsIndexSpace) {
         ASSERT_GE(pt[0], 1);
         ASSERT_LE(pt[0], c.n);
         ++owner_count[static_cast<size_t>(pt[0])];
-        EXPECT_EQ(dd.owner(pt[0]), p);
+        EXPECT_EQ(owner.at(pt[0]), p);
       }
   }
   for (int64_t i = 1; i <= c.n; ++i)
@@ -76,7 +78,9 @@ TEST(Distribution, BlockLocalSetsMatchPaper) {
   DimDistribution dd(DistSpec{DistKind::Block, 0}, 1, 100, 4);
   EXPECT_EQ(dd.local_set(0), Triplet(1, 25));
   EXPECT_EQ(dd.local_set(3), Triplet(76, 100));
-  EXPECT_EQ(dd.owner(26), 1);
+  EXPECT_EQ(OwnerFn(DecompSpec{{DistSpec{DistKind::Block, 0}}}, {{1, 100}}, 4)
+                .at(26),
+            1);
   EXPECT_EQ(dd.block_size(), 25);
 }
 
@@ -87,15 +91,42 @@ TEST(Distribution, CyclicLocalSetsAreStrided) {
 }
 
 TEST(Distribution, RemapBytesCountsMovedElements) {
-  DecompSpec block, cyclic;
-  block.dists = {DistSpec{DistKind::Block, 0}};
-  cyclic.dists = {DistSpec{DistKind::Cyclic, 0}};
-  ArrayDistribution from("x", block, {{1, 100}}, 4);
-  ArrayDistribution to("x", cyclic, {{1, 100}}, 4);
+  const DecompSpec block{{DistSpec{DistKind::Block, 0}}};
+  const DecompSpec cyclic{{DistSpec{DistKind::Cyclic, 0}}};
+  const OwnerFn from(block, {{1, 100}}, 4);
+  const OwnerFn to(cyclic, {{1, 100}}, 4);
   // Block p owns [25p+1, 25p+25]; cyclic owner (i-1)%4. Within each block
   // 7 of 25 elements keep their owner (28 total), so 72 move.
-  EXPECT_EQ(from.remap_bytes(to, 8), 72 * 8);
-  EXPECT_EQ(from.remap_bytes(from, 8), 0);
+  EXPECT_EQ(moved_elements({{1, 100}}, from, to), 72);
+  EXPECT_EQ(moved_elements({{1, 100}}, from, from), 0);
+}
+
+// moved_elements factorizes over the dimensions that decide an owner; it
+// must equal a point-by-point count for every pair of distributions of a
+// 2-D array, including replicated ones and ones distributed along both
+// dimensions (which belong to processor 0).
+TEST(Distribution, MovedElementsMatchesPointCount) {
+  const std::vector<std::pair<int64_t, int64_t>> bounds = {{0, 9}, {3, 9}};
+  const DistSpec none{}, block{DistKind::Block, 0}, cyclic{DistKind::Cyclic, 0},
+      bcyclic{DistKind::BlockCyclic, 2};
+  const std::vector<DecompSpec> specs = {
+      DecompSpec{{none, none}},    DecompSpec{{block, none}},
+      DecompSpec{{none, block}},   DecompSpec{{cyclic, none}},
+      DecompSpec{{none, bcyclic}}, DecompSpec{{block, cyclic}},
+      DecompSpec{}};
+  for (int procs : {1, 3, 4}) {
+    for (const DecompSpec& a : specs) {
+      for (const DecompSpec& b : specs) {
+        const OwnerFn from(a, bounds, procs), to(b, bounds, procs);
+        int64_t differ = 0;
+        Rsd::dense(bounds).for_each([&](const int64_t* point) {
+          differ += from(point, 2) != to(point, 2);
+        });
+        EXPECT_EQ(moved_elements(bounds, from, to), differ)
+            << a.str() << " -> " << b.str() << " on " << procs;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -223,6 +223,32 @@ TEST(Rsd, TranslateAndEnumerate) {
   EXPECT_EQ(pts[3], (std::vector<int64_t>{2, 4}));
 }
 
+// for_each walks the points the runtime packs messages in: last dimension
+// fastest, strides honored, nothing for an empty section.
+TEST(Rsd, ForEachWalksLastDimensionFastest) {
+  std::vector<std::vector<int64_t>> got;
+  Rsd({Triplet(1, 5, 2), Triplet(7, 8)}).for_each([&](const int64_t* p) {
+    got.push_back({p[0], p[1]});
+  });
+  const std::vector<std::vector<int64_t>> want = {
+      {1, 7}, {1, 8}, {3, 7}, {3, 8}, {5, 7}, {5, 8}};
+  EXPECT_EQ(got, want);
+  int calls = 0;
+  Rsd({Triplet(1, 3), Triplet::empty_range()}).for_each(
+      [&](const int64_t*) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  // Ranks past the inline buffer walk the same way.
+  const Rsd wide = Rsd::dense(std::vector<std::pair<int64_t, int64_t>>(10, {1, 2}));
+  int64_t points = 0, last = 0;
+  wide.for_each([&](const int64_t* p) {
+    ++points;
+    last = p[9];
+  });
+  EXPECT_EQ(points, 1024);
+  EXPECT_EQ(last, 2);
+  EXPECT_EQ(wide.enumerate().back(), std::vector<int64_t>(10, 2));
+}
+
 TEST(RsdList, CoalescingAddMergesSections) {
   RsdList list;
   for (int64_t c = 1; c <= 100; ++c)
